@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class Check:
     target: object
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "target": self.target,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -180,7 +175,6 @@ def criterion_counting() -> CriterionResult:
             "label": "acceptance-counting",
             "params": {"s": 2000, "f_a": 0.10, "f_b": 0.15, "f_c": 0.05},
             "code": {"kind": "block-repetition", "k": 8, "ratio_d": 0.05},
-            "threads": 4,
         }
     )
     report = harness.run_batch(config)
@@ -210,7 +204,6 @@ def criterion_invariants() -> CriterionResult:
             "label": "acceptance-invariants",
             "params": {"s": 200, "f_a": 0.10, "f_b": 0.20, "f_c": 0.10, "s_prime": 40},
             "code": {"kind": "block-repetition", "k": 8, "ratio_d": 0.05},
-            "threads": 4,
         }
     )
     report = harness.run_batch(config)
@@ -331,7 +324,6 @@ def criterion_over_measure() -> CriterionResult:
             "params": {"s": s, "f_a": 0.10, "f_b": 0.15, "f_c": 0.05},
             "alice": f"over-measure:{s // 5}",
             "code": {"kind": "block-repetition", "k": 8, "ratio_d": 0.05},
-            "threads": 4,
         }
     )
     report = harness.run_batch(config)
@@ -441,7 +433,7 @@ def criterion_codes() -> CriterionResult:
 def criterion_determinism() -> CriterionResult:
     rec = _Recorder()
 
-    def make(threads: int):
+    def make(**extra):
         return harness.run_batch(
             harness.RunConfig.from_dict(
                 {
@@ -452,25 +444,28 @@ def criterion_determinism() -> CriterionResult:
                                "s_prime": 12},
                     "code": {"kind": "block-repetition", "k": 8, "ratio_d": 0.1},
                     "transcripts": True,
-                    "threads": threads,
+                    **extra,
                 }
             )
         )
 
-    first, second, pooled = make(1), make(1), make(8)
+    # threads is a legacy key: accepted, validated and ignored
+    first, second, legacy = make(), make(), make(threads=8)
     rec.add("repeat execution is bit-identical",
             harness.report_json(first) == harness.report_json(second),
             "identical" if harness.report_json(first) == harness.report_json(second) else "differs",
             "identical")
-    rec.add("thread count 8 is bit-identical to 1",
-            harness.report_json(first) == harness.report_json(pooled),
-            "identical" if harness.report_json(first) == harness.report_json(pooled) else "differs",
+    rec.add("legacy threads key leaves the report bit-identical",
+            harness.report_json(first) == harness.report_json(legacy),
+            "identical" if harness.report_json(first) == harness.report_json(legacy) else "differs",
             "identical")
-    rec.add("transcripts identical across thread counts",
-            first.transcripts == pooled.transcripts == second.transcripts,
-            "identical" if first.transcripts == pooled.transcripts else "differs",
+    rec.add("transcripts identical across repeats and the legacy threads key",
+            first.transcripts == legacy.transcripts == second.transcripts,
+            "identical" if first.transcripts == legacy.transcripts == second.transcripts
+            else "differs",
             "identical")
-    return rec.finish(9, "determinism", "bit-identical reports across repeats and threads", 30.0)
+    return rec.finish(9, "determinism",
+                      "bit-identical reports across repeats and a legacy threads key", 30.0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .protocol import (
     BobStrategy,
     ExtractionResult,
     ProtocolParams,
-    RunResult,
     RunState,
     StrategyError,
     detected_band_from_counts,
@@ -78,25 +77,6 @@ PREPARATION_VARIANTS = ("all-product", "variant-B", "variant-C")
 # Bayesian extraction enumerates every codeword, so cap the code size.
 EXTRACT_MAX_N = 20
 EXTRACT_MAX_K = 16
-
-
-@dataclass(frozen=True)
-class CheatOutcome:
-    """Observable end of a cheating run.
-
-    unveiled_bit_accepted is the bit Bob accepted, or None when he rejected
-    (caught_at then names the first failed check).
-    """
-
-    attempted: bool
-    caught_at: Optional[str]
-    unveiled_bit_accepted: Optional[int]
-
-
-def outcome_of(result: RunResult, attempted: bool = True) -> CheatOutcome:
-    accepted = result.unveiled_bit if result.unveil_accepted else None
-    return CheatOutcome(attempted=attempted, caught_at=result.caught_at,
-                        unveiled_bit_accepted=accepted)
 
 
 def _check_policy(policy: str) -> str:
@@ -487,52 +467,6 @@ def _expect_args(kind: str, args: list, low: int, high: Optional[int] = None) ->
     high = low if high is None else high
     if not (low <= len(args) <= high):
         raise StrategyError(f"strategy {kind!r} takes {low}..{high} arguments, got {len(args)}")
-
-
-# ---------------------------------------------------------------------------
-# convenience one-shot operations
-
-
-def alice_fake_unmeasured(
-    params: ProtocolParams,
-    m: int,
-    rng: RandomStream,
-    fake_policy: str = "send-x",
-    code_provider: Optional[CodeProvider] = None,
-    bit: Optional[int] = None,
-) -> CheatOutcome:
-    result = execute_run(
-        params, rng, alice=FakeUnmeasuredAlice(m, fake_policy),
-        code_provider=code_provider, bit=bit,
-    )
-    return outcome_of(result, attempted=m > 0)
-
-
-def alice_over_measure(
-    params: ProtocolParams,
-    extra: int,
-    rng: RandomStream,
-    code_provider: Optional[CodeProvider] = None,
-    bit: Optional[int] = None,
-) -> CheatOutcome:
-    result = execute_run(
-        params, rng, alice=OverMeasureAlice(extra), code_provider=code_provider, bit=bit
-    )
-    return outcome_of(result, attempted=extra > 0)
-
-
-def alice_wrong_preparation(
-    params: ProtocolParams,
-    variant: str,
-    rng: RandomStream,
-    code_provider: Optional[CodeProvider] = None,
-    bit: Optional[int] = None,
-) -> CheatOutcome:
-    result = execute_run(
-        params, rng, alice=WrongPreparationAlice(variant),
-        code_provider=code_provider, bit=bit,
-    )
-    return outcome_of(result, attempted=True)
 
 
 # ---------------------------------------------------------------------------

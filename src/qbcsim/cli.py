@@ -66,7 +66,6 @@ def _effective_config(args) -> dict:
         ("trials", "trials"),
         ("alice", "alice"),
         ("bob", "bob"),
-        ("threads", "threads"),
         ("bit", "bit"),
         ("label", "label"),
     ):
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--theta", type=float)
     run.add_argument("--alice", help="alice strategy spec, e.g. fake-unmeasured:2")
     run.add_argument("--bob", help="bob strategy spec, e.g. early-extract")
-    run.add_argument("--threads", type=int)
     run.add_argument("--bit", type=int, choices=(0, 1))
     run.add_argument("--label")
     run.add_argument("--json-out")

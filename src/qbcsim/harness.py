@@ -1,10 +1,12 @@
 """Seeded Monte Carlo runner: batches, sweeps, and machine-readable reports.
 
-A batch executes `trials` protocol runs from one configuration.  Trial i
-draws its generator from SeedSequence((master_seed, i)), so results do not
-depend on execution order or thread count, and a report can be reproduced
-from its own config echo.  Reports carry no timestamps or host data for the
-same reason: identical configs must produce byte-identical files.
+A batch executes `trials` protocol runs from one configuration, one after
+another.  Trial i draws its generator from SeedSequence((master_seed, i)),
+so it depends only on (master_seed, i), and a report can be reproduced from
+its own config echo.  Reports carry no timestamps or host data for the same
+reason: identical configs must produce byte-identical files.  A `threads`
+key from older configs is accepted, checked to be an integer >= 1, and
+ignored.
 
 The statistical gates compare the three set-size ratios against the counting
 formulas, with a four-standard-error band computed from the per-trial sample
@@ -21,8 +23,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ from .protocol import ProtocolParams, RunResult
 
 GATE_METRICS = ("ratio_M", "ratio_D", "ratio_MminusD")
 VIOLATION_KEYS = ("d_soundness", "lie_b_annihilation", "c5_empty", "u5_parity")
-MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -65,11 +65,11 @@ class MetricStats:
         return cls(mean, std, n, ci)
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "count": self.count, "ci95": self.ci95}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricStats":
-        return cls(d["mean"], d["std"], d["count"], d["ci95"])
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,11 @@ class GateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "target": self.target,
-            "empirical": self.empirical,
-            "band": self.band,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GateCheck":
-        return cls(d["metric"], d["target"], d["empirical"], d["band"], d["passed"])
+        return cls(**d)
 
 
 @dataclass
@@ -207,7 +201,6 @@ class RunConfig:
     bit: Optional[int] = None
     gates: Optional[bool] = None  # None = decide from the strategy mix
     transcripts: bool = False
-    threads: int = 1
     raw: dict = field(default_factory=dict)
 
     @classmethod
@@ -230,9 +223,9 @@ class RunConfig:
         bit = d.get("bit")
         if bit not in (None, 0, 1):
             raise ConfigError("bit must be null, 0 or 1")
-        threads = _as_int(d.get("threads", 1), "threads")
-        if not (1 <= threads <= MAX_THREADS):
-            raise ConfigError(f"threads must be in 1..{MAX_THREADS}")
+        # accepted for old configs; batches always run serially
+        if _as_int(d.get("threads", 1), "threads") < 1:
+            raise ConfigError("threads must be >= 1")
         gates = d.get("gates")
         if gates not in (None, True, False):
             raise ConfigError("gates must be true, false or omitted")
@@ -247,7 +240,6 @@ class RunConfig:
             bit=bit,
             gates=gates,
             transcripts=bool(d.get("transcripts", False)),
-            threads=threads,
             raw=d,
         )
         config.validate()
@@ -377,11 +369,7 @@ def run_single_trial(config: RunConfig, trial_index: int) -> RunResult:
 
 def run_batch(config: RunConfig) -> BatchReport:
     """Execute the configured trials and aggregate; deterministic in config."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda i: run_single_trial(config, i), range(config.trials)))
-    else:
-        results = [run_single_trial(config, i) for i in range(config.trials)]
+    results = [run_single_trial(config, i) for i in range(config.trials)]
     return _aggregate(config, results)
 
 

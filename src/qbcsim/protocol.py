@@ -40,7 +40,9 @@ from .qstate import (
     expected_alpha_after_photon,
     factor_product,
     is_product,
+    measure_alpha as _pair_measure_alpha,
     measure_alpha_in as _qubit_measure_alpha_in,
+    measure_in_basis,
     measure_pair_in_state,
     measure_photon as _pair_measure_photon,
     prepare_pair,
@@ -273,16 +275,8 @@ class RegisterEnvironment:
     def measure_alpha(self, index: int, party: str, rng: RandomStream) -> int:
         """Computational-basis measurement of the register; 0 is |x>."""
         self._require(index, "alpha", party)
-        state = self._states[index]
-        px = abs(state.amp[0]) ** 2 + abs(state.amp[1]) ** 2
-        py = abs(state.amp[2]) ** 2 + abs(state.amp[3]) ** 2
-        outcome = 0 if rng.random() * (px + py) < px else 1
-        if outcome == 0:
-            photon = QubitState(state.amp[0] / math.sqrt(px), state.amp[1] / math.sqrt(px))
-            self._states[index] = tensor(QubitState(1, 0), photon)
-        else:
-            photon = QubitState(state.amp[2] / math.sqrt(py), state.amp[3] / math.sqrt(py))
-            self._states[index] = tensor(QubitState(0, 1), photon)
+        outcome, collapsed = _pair_measure_alpha(self._states[index], rng)
+        self._states[index] = collapsed
         self._measured.add((index, "alpha"))
         self.transcript.append(party, "measure-alpha", index=index, outcome=outcome)
         return outcome
@@ -897,6 +891,9 @@ def semi_classical_solver(params: ProtocolParams, rng: RandomStream) -> SolverRe
     return SolverResult(frozenset(detected), params.s, params.s, _freeze_lie_sets(assignment))
 
 
+_X_KET = QubitState(1, 0)
+
+
 def optimal_solver(params: ProtocolParams, rng: RandomStream) -> SolverResult:
     """The protocol's own detection method run standalone: measure only the
     indices whose announced value contradicts q_i."""
@@ -914,19 +911,15 @@ def optimal_solver(params: ProtocolParams, rng: RandomStream) -> SolverResult:
             continue
         measured += 1
         alpha, _ = factor_product(collapsed)
-        p_i = 0 if rng.random() < abs(alpha.a0) ** 2 else 1
+        p_i = measure_in_basis(alpha, _X_KET, rng)
         if p_i == ann[0]:
             detected.add(i)
     return SolverResult(frozenset(detected), measured, params.s, _freeze_lie_sets(assignment))
 
 
-_B_BASIS = {
-    0: (QubitState(1, 0), QubitState(0, 1)),
-    1: (
-        QubitState(1 / math.sqrt(2), 1 / math.sqrt(2)),
-        QubitState(-1 / math.sqrt(2), 1 / math.sqrt(2)),
-    ),
-}
+# first vector of the register basis the same-basis variant measures in,
+# keyed by the announced basis p''
+_B_BASIS0 = {0: _X_KET, 1: QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))}
 
 
 def _require_quarter_pi(params: ProtocolParams) -> None:
@@ -965,8 +958,7 @@ def variant_solver(kind: str, params: ProtocolParams, rng: RandomStream) -> Solv
                 continue
             measured += 1
             alpha, _ = factor_product(collapsed)
-            b0, _b1 = _B_BASIS[ann[0]]
-            v = _measure_lone_qubit(alpha, b0, rng)
+            v = measure_in_basis(alpha, _B_BASIS0[ann[0]], rng)
             if v != ann[1]:
                 detected.add(i)
     else:
@@ -981,7 +973,7 @@ def variant_solver(kind: str, params: ProtocolParams, rng: RandomStream) -> Solv
             measured += 1
             alpha, _ = factor_product(collapsed)
             expect_y = ann == (0, 1)
-            v = _measure_lone_qubit(alpha, QubitState(1, 0), rng)
+            v = measure_in_basis(alpha, _X_KET, rng)
             got_y = v == 1
             if got_y != expect_y:
                 detected.add(i)
@@ -1001,8 +993,3 @@ def _canonical_variant(kind: str) -> str:
         return alias[kind]
     except KeyError:
         raise ProtocolError(f"unknown solver variant {kind!r}")
-
-
-def _measure_lone_qubit(state: QubitState, basis0: QubitState, rng: RandomStream) -> int:
-    p0 = abs(basis0.a0.conjugate() * state.a0 + basis0.a1.conjugate() * state.a1) ** 2
-    return 0 if rng.random() < p0 else 1

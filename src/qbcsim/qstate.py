@@ -242,7 +242,7 @@ def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int
 def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
     """Measure the alpha register in its computational (|x>, |y>) basis.
 
-    Returns (outcome, collapsed) where outcome 0 means |x| and 1 means |y>;
+    Returns (outcome, collapsed) where outcome 0 means |x> and 1 means |y>;
     the photon factor of the collapsed state is the exact conditional state.
     """
     px = abs(state.amp[0]) ** 2 + abs(state.amp[1]) ** 2

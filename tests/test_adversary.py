@@ -88,16 +88,6 @@ def test_strategy_factories_parse_specs():
         adv.make_bob_strategy("frequency-cheat")
 
 
-def test_outcome_invariant_accept_path():
-    params = ProtocolParams(s=100, **STD_F)
-    rng = np.random.default_rng(7)
-    result = execute_run(params, rng, code_provider=FAST_PROVIDER)
-    outcome = adv.outcome_of(result, attempted=False)
-    assert outcome.caught_at is None
-    assert outcome.unveiled_bit_accepted == result.committed_bit
-    assert not outcome.attempted
-
-
 # ---------------------------------------------------------------------------
 # fake-unmeasured Alice
 

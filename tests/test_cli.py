@@ -94,6 +94,11 @@ def test_usage_error_exits_one(capsys):
     assert main(["run"]) == 1
 
 
+def test_run_threads_flag_is_gone(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", config, "--threads", "2"]) == cli.EXIT_USAGE
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

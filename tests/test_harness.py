@@ -71,10 +71,10 @@ def test_config_wraps_params_errors():
 def test_config_bit_and_threads_ranges():
     with pytest.raises(ConfigError):
         RunConfig.from_dict(config_dict(bit=2))
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(config_dict(threads=0))
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(config_dict(threads=harness.MAX_THREADS + 1))
+    # threads is a legacy key: ignored, but still has to be an integer >= 1
+    for bad in (0, True, "2"):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(config_dict(threads=bad))
     assert RunConfig.from_dict(config_dict(bit=1)).bit == 1
 
 
@@ -180,9 +180,10 @@ def test_identical_configs_give_identical_reports():
 
 
 def test_thread_count_does_not_change_results():
-    serial = run_batch(RunConfig.from_dict(config_dict(threads=1)))
-    pooled = run_batch(RunConfig.from_dict(config_dict(threads=4)))
-    assert report_json(serial) == report_json(pooled)
+    plain = run_batch(RunConfig.from_dict(config_dict(transcripts=True)))
+    legacy = run_batch(RunConfig.from_dict(config_dict(transcripts=True, threads=4)))
+    assert report_json(plain) == report_json(legacy)
+    assert plain.transcripts == legacy.transcripts
 
 
 def test_trial_rng_is_order_insensitive():
