@@ -55,8 +55,9 @@ from .protocol import (
     measured_band_from_counts,
 )
 from .qstate import (
+    KET_X,
+    KET_Y,
     PairState,
-    QubitState,
     RandomStream,
     born_probabilities_photon,
     expected_alpha_after_photon,
@@ -67,9 +68,6 @@ from .qstate import (
     prepare_pair,
     tensor,
 )
-
-X_REGISTER = QubitState(1.0, 0.0)
-Y_REGISTER = QubitState(0.0, 1.0)
 
 FAKE_POLICIES = ("send-x", "send-best-guess")
 PREPARATION_VARIANTS = ("all-product", "variant-B", "variant-C")
@@ -102,7 +100,7 @@ class _FabricatingAlice(AliceStrategy):
         if index not in run.really_measured or index in run.claimed_measured:
             return None
         if self.fake_policy == "send-x":
-            return QubitState(1.0, 0.0)
+            return KET_X
         return None  # collapsed register goes out as-is
 
 
@@ -197,9 +195,9 @@ class WrongPreparationAlice(AliceStrategy):
         c, s = math.cos(theta), math.sin(theta)
         if self.variant == "all-product":
             if rng.random() < c * c:
-                state = tensor(X_REGISTER, pol_ket(0, q))
+                state = tensor(KET_X, pol_ket(0, q))
             else:
-                state = tensor(Y_REGISTER, pol_ket(1, q))
+                state = tensor(KET_Y, pol_ket(1, q))
         elif self.variant == "variant-B":
             state = PairState((c, 0.0, 0.0, s))
         else:  # variant-C
@@ -539,11 +537,11 @@ def fake_survival_trials(
         basis = int(rng.integers(0, 2))
         outcome, collapsed = measure_photon(prepare_pair(theta, q), basis, rng)
         register, _ = factor_product(collapsed)
-        own = measure_in_basis(register, X_REGISTER, rng)  # Alice's record, x or y
+        own = measure_in_basis(register, KET_X, rng)  # Alice's record, x or y
         if policy == "send-x":
-            sent = X_REGISTER
+            sent = KET_X
         else:
-            sent = X_REGISTER if own == 0 else Y_REGISTER
+            sent = KET_X if own == 0 else KET_Y
         expected = expected_alpha_after_photon(theta, q, basis, outcome)
         survived = measure_in_basis(sent, expected, rng) == 0
         stats.tally(_episode_case(basis, outcome == q), survived)
@@ -574,13 +572,6 @@ class BindingReport:
     @property
     def bound(self) -> float:
         return binding_bound(self.distance)
-
-    @property
-    def ci95_halfwidth(self) -> float:
-        if not self.trials:
-            return float("nan")
-        p = self.success_rate
-        return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
 
 def measure_binding(

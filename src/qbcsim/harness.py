@@ -18,12 +18,13 @@ a configuration error, not a failed gate.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -145,33 +146,24 @@ class BatchReport:
             st = self.stats[name]
             gate = gate_by_metric.get(name)
             rows.append(
-                {
-                    "point": self.label,
-                    "metric": name,
-                    "mean": st.mean,
-                    "std": st.std,
-                    "count": st.count,
-                    "ci95": st.ci95,
-                    "gate_target": gate.target if gate else None,
-                    "gate_band": gate.band if gate else None,
-                    "gate_passed": gate.passed if gate else None,
-                }
+                _csv_row(
+                    self.label, name, mean=st.mean, std=st.std, count=st.count, ci95=st.ci95,
+                    gate_target=gate.target if gate else None,
+                    gate_band=gate.band if gate else None,
+                    gate_passed=gate.passed if gate else None,
+                )
             )
         for key in VIOLATION_KEYS:
-            rows.append(
-                {
-                    "point": self.label,
-                    "metric": f"violations_{key}",
-                    "mean": self.violations.get(key, 0),
-                    "std": None,
-                    "count": self.trials,
-                    "ci95": None,
-                    "gate_target": None,
-                    "gate_band": None,
-                    "gate_passed": None,
-                }
-            )
+            rows.append(_csv_row(self.label, f"violations_{key}",
+                                 mean=self.violations.get(key, 0), count=self.trials))
         return rows
+
+
+def _csv_row(point: str, metric: str, **values) -> dict:
+    """One CSV_COLUMNS row; columns not given are empty."""
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(point=point, metric=metric, **values)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +193,6 @@ class RunConfig:
     bit: Optional[int] = None
     gates: Optional[bool] = None  # None = decide from the strategy mix
     transcripts: bool = False
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -227,8 +218,11 @@ class RunConfig:
         if _as_int(d.get("threads", 1), "threads") < 1:
             raise ConfigError("threads must be >= 1")
         gates = d.get("gates")
-        if gates not in (None, True, False):
+        if gates is not None and not isinstance(gates, bool):
             raise ConfigError("gates must be true, false or omitted")
+        transcripts = d.get("transcripts", False)
+        if not isinstance(transcripts, bool):
+            raise ConfigError("transcripts must be true, false or omitted")
         config = cls(
             master_seed=master_seed,
             trials=trials,
@@ -239,8 +233,7 @@ class RunConfig:
             code=d.get("code"),
             bit=bit,
             gates=gates,
-            transcripts=bool(d.get("transcripts", False)),
-            raw=d,
+            transcripts=transcripts,
         )
         config.validate()
         return config
@@ -298,6 +291,14 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return float(value)
+
+
 def build_params(d: dict) -> ProtocolParams:
     if not isinstance(d, dict):
         raise ConfigError("params must be a JSON object")
@@ -328,14 +329,17 @@ def build_code_provider(code: Optional[dict], params: ProtocolParams) -> CodePro
     try:
         if kind == "ratio":
             return lincode.ratio_code_provider(
-                float(code.get("ratio_k", params.ratio_k)),
-                float(code.get("ratio_d", params.ratio_d)),
+                _as_real(code.get("ratio_k", params.ratio_k), "ratio_k"),
+                _as_real(code.get("ratio_d", params.ratio_d), "ratio_d"),
             )
         if kind == "block-repetition":
             if "k" not in code:
                 raise ConfigError("block-repetition code needs 'k'")
+            t, ratio_d = code.get("t"), code.get("ratio_d")
             return lincode.block_repetition_provider(
-                int(code["k"]), t=code.get("t"), ratio_d=code.get("ratio_d")
+                _as_int(code["k"], "k"),
+                t=None if t is None else _as_int(t, "t"),
+                ratio_d=None if ratio_d is None else _as_real(ratio_d, "ratio_d"),
             )
         return lincode.identity_code_provider()
     except lincode.CodeError as exc:
@@ -517,19 +521,7 @@ class SweepReport:
         rows = []
         for p in self.points:
             if p.report is None:
-                rows.append(
-                    {
-                        "point": p.label,
-                        "metric": "skipped",
-                        "mean": None,
-                        "std": None,
-                        "count": 0,
-                        "ci95": None,
-                        "gate_target": None,
-                        "gate_band": None,
-                        "gate_passed": None,
-                    }
-                )
+                rows.append(_csv_row(p.label, "skipped", count=0))
             else:
                 rows.extend(p.report.csv_rows())
         return rows
@@ -627,8 +619,6 @@ def report_json(report) -> str:
 
 
 def report_csv(report) -> str:
-    import io
-
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

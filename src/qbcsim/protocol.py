@@ -34,6 +34,7 @@ import numpy as np
 from . import lincode
 from .lincode import CodeProvider, GeneratorMatrix, ratio_code_provider
 from .qstate import (
+    KET_X,
     PairState,
     QubitState,
     RandomStream,
@@ -891,9 +892,6 @@ def semi_classical_solver(params: ProtocolParams, rng: RandomStream) -> SolverRe
     return SolverResult(frozenset(detected), params.s, params.s, _freeze_lie_sets(assignment))
 
 
-_X_KET = QubitState(1, 0)
-
-
 def optimal_solver(params: ProtocolParams, rng: RandomStream) -> SolverResult:
     """The protocol's own detection method run standalone: measure only the
     indices whose announced value contradicts q_i."""
@@ -911,7 +909,7 @@ def optimal_solver(params: ProtocolParams, rng: RandomStream) -> SolverResult:
             continue
         measured += 1
         alpha, _ = factor_product(collapsed)
-        p_i = measure_in_basis(alpha, _X_KET, rng)
+        p_i = measure_in_basis(alpha, KET_X, rng)
         if p_i == ann[0]:
             detected.add(i)
     return SolverResult(frozenset(detected), measured, params.s, _freeze_lie_sets(assignment))
@@ -919,7 +917,7 @@ def optimal_solver(params: ProtocolParams, rng: RandomStream) -> SolverResult:
 
 # first vector of the register basis the same-basis variant measures in,
 # keyed by the announced basis p''
-_B_BASIS0 = {0: _X_KET, 1: QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))}
+_B_BASIS0 = {0: KET_X, 1: QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))}
 
 
 def _require_quarter_pi(params: ProtocolParams) -> None:
@@ -949,8 +947,8 @@ def variant_solver(kind: str, params: ProtocolParams, rng: RandomStream) -> Solv
     measured = 0
     if kind == "B":
         chosen = {int(i) for i in rng.choice(params.s, size=params.s // 2, replace=False)}
+        state = PairState((1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)))
         for i in range(params.s):
-            state = PairState((1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)))
             basis = _uniform_bit(rng)
             outcome, collapsed = _pair_measure_photon(state, basis, rng)
             ann = announced_for(assignment[i], basis, outcome)
@@ -962,9 +960,8 @@ def variant_solver(kind: str, params: ProtocolParams, rng: RandomStream) -> Solv
             if v != ann[1]:
                 detected.add(i)
     else:
-        rt2 = math.sqrt(2.0)
+        state = PairState((1 / math.sqrt(2.0), 0, -0.5, 0.5))
         for i in range(params.s):
-            state = PairState((1 / rt2, 0, -0.5, 0.5))
             basis = _uniform_bit(rng)
             outcome, collapsed = _pair_measure_photon(state, basis, rng)
             ann = announced_for(assignment[i], basis, outcome)
@@ -973,7 +970,7 @@ def variant_solver(kind: str, params: ProtocolParams, rng: RandomStream) -> Solv
             measured += 1
             alpha, _ = factor_product(collapsed)
             expect_y = ann == (0, 1)
-            v = measure_in_basis(alpha, _X_KET, rng)
+            v = measure_in_basis(alpha, KET_X, rng)
             got_y = v == 1
             if got_y != expect_y:
                 detected.add(i)

@@ -9,13 +9,16 @@ Conventions used throughout the package:
       (p=0,q=0) -> (1, 0)          (p=0,q=1) -> (0, 1)
       (p=1,q=0) -> (1, 1)/sqrt2    (p=1,q=1) -> (-1, 1)/sqrt2
   The sign of the 135deg ket is fixed as (-1, 1)/sqrt2.
-- The internal register ("alpha") has orthonormal basis states |x>, |y>.
+- The internal register ("alpha") has orthonormal basis states |x>, |y>
+  (KET_X, KET_Y).
 - A PairState stores the four joint amplitudes over (alpha tensor photon) as
   a flat tuple (x&0deg, x&90deg, y&0deg, y&90deg).  The entangled preparation
   with angle theta and value bit q is
       cos(theta)|x>|0,q> + sin(theta)|y>|1,q> ,   theta in (0, pi/2) open.
 - States are immutable values.  A measurement never mutates its input; it
-  returns the sampled outcome together with a fresh collapsed state.
+  returns the sampled outcome together with a fresh collapsed state.  The
+  fixed kets (KET_X, KET_Y and the four returned by pol_ket) are built once
+  at import and shared by every caller.
 """
 
 from __future__ import annotations
@@ -76,21 +79,23 @@ def unit_qubit(a0: complex, a1: complex) -> QubitState:
     return QubitState(a0 / n, a1 / n)
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+KET_X = QubitState(1.0, 0.0)
+KET_Y = QubitState(0.0, 1.0)
 _KETS = {
-    (0, 0): (1.0, 0.0),
-    (0, 1): (0.0, 1.0),
-    (1, 0): (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
-    (1, 1): (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+    (0, 0): QubitState(1.0, 0.0),
+    (0, 1): QubitState(0.0, 1.0),
+    (1, 0): QubitState(_INV_SQRT2, _INV_SQRT2),
+    (1, 1): QubitState(-_INV_SQRT2, _INV_SQRT2),
 }
 
 
 def pol_ket(p: int, q: int) -> QubitState:
     """Polarization ket for basis bit p and value bit q (see module docstring)."""
     try:
-        a0, a1 = _KETS[(int(p), int(q))]
+        return _KETS[(int(p), int(q))]
     except KeyError:
         raise StateError(f"basis and value bits must be 0 or 1, got ({p}, {q})")
-    return QubitState(a0, a1)
 
 
 def orthogonal(state: QubitState) -> QubitState:
@@ -101,13 +106,6 @@ def orthogonal(state: QubitState) -> QubitState:
 def overlap(a: QubitState, b: QubitState) -> complex:
     """Inner product <a|b>."""
     return a.a0.conjugate() * b.a0 + a.a1.conjugate() * b.a1
-
-
-def canonical_phase(state: QubitState) -> QubitState:
-    """Rotate the global phase so the first non-negligible amplitude is real positive."""
-    lead = state.a0 if abs(state.a0) > 1e-12 else state.a1
-    phase = lead / abs(lead)
-    return QubitState(state.a0 / phase, state.a1 / phase)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,24 +126,6 @@ class PairState:
         n = sum(abs(z) ** 2 for z in amp)
         if abs(n - 1.0) > _NORM_TOL:
             raise StateError(f"pair state not normalized: |a|^2 = {n!r}")
-
-    def to_reals(self) -> list[float]:
-        """Serialize to 8 reals, amplitudes ordered (x,0),(y,0),(x,90),(y,90),
-        real and imaginary part interleaved."""
-        out: list[float] = []
-        for idx in (0, 2, 1, 3):
-            z = self.amp[idx]
-            out.append(z.real)
-            out.append(z.imag)
-        return out
-
-    @classmethod
-    def from_reals(cls, reals: list[float]) -> "PairState":
-        if len(reals) != 8:
-            raise StateError("pair state serialization needs 8 reals")
-        zs = [complex(reals[2 * i], reals[2 * i + 1]) for i in range(4)]
-        # undo the (x,0),(y,0),(x,90),(y,90) wire order
-        return cls((zs[0], zs[2], zs[1], zs[3]))
 
 
 def tensor(alpha: QubitState, photon: QubitState) -> PairState:
@@ -202,14 +182,20 @@ def _photon_components(state: PairState, alpha: QubitState) -> tuple[complex, co
     return p0, p1
 
 
+def _photon_branches(
+    state: PairState, basis: int
+) -> tuple[list[tuple[complex, complex]], list[float]]:
+    """Unnormalized alpha components and Born weights for photon values 0 and 1."""
+    comps = [_alpha_components(state, pol_ket(basis, v)) for v in (0, 1)]
+    weights = [abs(ax) ** 2 + abs(ay) ** 2 for ax, ay in comps]
+    return comps, weights
+
+
 def born_probabilities_photon(state: PairState, basis: int) -> tuple[float, float]:
     """Outcome probabilities (value 0, value 1) for a photon measurement in `basis`."""
-    probs = []
-    for value in (0, 1):
-        ax, ay = _alpha_components(state, pol_ket(basis, value))
-        probs.append(abs(ax) ** 2 + abs(ay) ** 2)
-    total = probs[0] + probs[1]
-    return (probs[0] / total, probs[1] / total)
+    _, (p0, p1) = _photon_branches(state, basis)
+    total = p0 + p1
+    return (p0 / total, p1 / total)
 
 
 def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int, PairState]:
@@ -229,13 +215,10 @@ def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int
     (outcome, collapsed) : the sampled value bit and the post-measurement
     product state, whose alpha factor is the exact conditional state.
     """
-    comps = [_alpha_components(state, pol_ket(basis, v)) for v in (0, 1)]
-    p0 = abs(comps[0][0]) ** 2 + abs(comps[0][1]) ** 2
-    p1 = abs(comps[1][0]) ** 2 + abs(comps[1][1]) ** 2
+    comps, (p0, p1) = _photon_branches(state, basis)
     total = p0 + p1
     outcome = 0 if rng.random() * total < p0 else 1
-    ax, ay = comps[outcome]
-    alpha = unit_qubit(ax, ay)
+    alpha = unit_qubit(*comps[outcome])
     return outcome, tensor(alpha, pol_ket(basis, outcome))
 
 
@@ -245,17 +228,7 @@ def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
     Returns (outcome, collapsed) where outcome 0 means |x> and 1 means |y>;
     the photon factor of the collapsed state is the exact conditional state.
     """
-    px = abs(state.amp[0]) ** 2 + abs(state.amp[1]) ** 2
-    py = abs(state.amp[2]) ** 2 + abs(state.amp[3]) ** 2
-    total = px + py
-    outcome = 0 if rng.random() * total < px else 1
-    if outcome == 0:
-        photon = unit_qubit(state.amp[0], state.amp[1])
-        alpha = QubitState(1.0, 0.0)
-    else:
-        photon = unit_qubit(state.amp[2], state.amp[3])
-        alpha = QubitState(0.0, 1.0)
-    return outcome, tensor(alpha, photon)
+    return measure_alpha_in(state, KET_X, rng)
 
 
 def measure_alpha_in(

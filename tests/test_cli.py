@@ -89,6 +89,13 @@ def test_run_gate_failure_exits_two(tmp_path):
     assert main(["run", "--config", config]) == 2
 
 
+def test_run_rejects_mistyped_code_config(tmp_path, capsys):
+    config = write_config(tmp_path, code={"kind": "block-repetition", "k": 8, "t": 6.5})
+    assert main(["run", "--config", config]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1

@@ -1,5 +1,6 @@
 """Batch runner tests: config validation, determinism, gates, sweeps, files."""
 
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,18 @@ def test_config_bit_and_threads_ranges():
     assert RunConfig.from_dict(config_dict(bit=1)).bit == 1
 
 
+def test_config_flags_must_be_booleans():
+    # "false" is a truthy string; 1 compares equal to True
+    for key in ("transcripts", "gates"):
+        for bad in ("false", 1, 0):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict(config_dict(**{key: bad}))
+    with pytest.raises(ConfigError, match="transcripts"):
+        RunConfig.from_dict(config_dict(transcripts=None))
+    assert RunConfig.from_dict(config_dict(transcripts=False)).transcripts is False
+    assert RunConfig.from_dict(config_dict()).transcripts is False
+
+
 def test_config_rejects_unknown_strategy_spec():
     with pytest.raises(ConfigError):
         RunConfig.from_dict(config_dict(alice="mystery-attack"))
@@ -92,8 +105,24 @@ def test_config_code_validation():
         RunConfig.from_dict(config_dict(code={"kind": "identity", "k": 4}))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(config_dict(code={"kind": "block-repetition"}))
+    # value types are checked here, not at the first trial
+    for bad in (
+        {"kind": "block-repetition", "k": 8, "t": 6.5},
+        {"kind": "block-repetition", "k": 8.0, "t": 6},
+        {"kind": "block-repetition", "k": "8", "t": 6},
+        {"kind": "block-repetition", "k": 8, "t": True},
+        {"kind": "block-repetition", "k": 8, "ratio_d": "0.05"},
+        {"kind": "block-repetition", "k": 8, "ratio_d": False},
+        {"kind": "ratio", "ratio_k": "x"},
+        {"kind": "ratio", "ratio_k": "0.5"},
+        {"kind": "ratio", "ratio_d": True},
+        {"kind": "ratio", "ratio_d": float("nan")},
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(config_dict(code=bad))
     ok = RunConfig.from_dict(config_dict(code={"kind": "block-repetition", "k": 4, "t": 2}))
     assert ok.code["kind"] == "block-repetition"
+    RunConfig.from_dict(config_dict(code={"kind": "ratio", "ratio_k": 1, "ratio_d": 0.1}))
 
 
 def test_gate_request_fails_before_any_run():
@@ -184,6 +213,37 @@ def test_thread_count_does_not_change_results():
     legacy = run_batch(RunConfig.from_dict(config_dict(transcripts=True, threads=4)))
     assert report_json(plain) == report_json(legacy)
     assert plain.transcripts == legacy.transcripts
+
+
+# sha256 of report_json + transcripts for 20 trials from seed 20261020.  A
+# change that moves these hashes changes the mapping from seed to result; it
+# must say so and update the pins on purpose.  early-extract stays out: its
+# float matmul runs through BLAS, whose summation order is not pinned.
+PINNED_REPORTS = {
+    "honest": "f1b439fa6d8c3be716281d67094cdd0359cca306008e397712490bf9efd58d9b",
+    "fake-unmeasured:2:send-best-guess":
+        "2d62f2084ee29a55d1e850747ac9b74608d659627f835f6a52957c7b9199630c",
+    "over-measure:20": "dfd1a6c2906c23a6a26427d845a37190dd0b849662ae3cf842d56bb835650498",
+    "wrong-preparation:variant-B":
+        "25c3d844e4e9e822b5d00095013b6e29cc8d9595bffbd36195c8e05d14681bc3",
+    "bit-flip:send-best-guess":
+        "e6c4422ccf648b31f8973c73a34a4c04427deebfd45547c5a9ff1ec3e8ddf925",
+}
+
+
+@pytest.mark.parametrize("alice", sorted(PINNED_REPORTS))
+def test_report_fingerprints_are_pinned(alice):
+    report = run_batch(RunConfig.from_dict({
+        "master_seed": 20261020,
+        "trials": 20,
+        "params": {"s": 60, "f_a": 0.10, "f_b": 0.15, "f_c": 0.05, "s_prime": 12},
+        "code": {"kind": "block-repetition", "k": 8, "ratio_d": 0.1},
+        "label": "pinned",
+        "alice": alice,
+        "transcripts": True,
+    }))
+    text = report_json(report) + json.dumps(report.transcripts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[alice]
 
 
 def test_trial_rng_is_order_insensitive():

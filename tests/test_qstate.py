@@ -8,7 +8,6 @@ from qbcsim.qstate import (
     QubitState,
     StateError,
     born_probabilities_photon,
-    canonical_phase,
     expected_alpha_after_photon,
     factor_product,
     is_product,
@@ -57,6 +56,8 @@ def test_pol_ket_table():
     b = pol_ket(1, 1).amplitudes()
     assert b[0] == pytest.approx(-1 / RT2, abs=1e-15)
     assert b[1] == pytest.approx(1 / RT2, abs=1e-15)
+    # the kets are shared constants, not rebuilt per call
+    assert pol_ket(1, 1) is pol_ket(1, 1)
 
 
 def test_pol_ket_rejects_bad_bits():
@@ -89,22 +90,11 @@ def test_unit_qubit_rejects_zero_and_nonfinite():
         QubitState(0.9, 0.9)
 
 
-def test_canonical_phase():
-    s = QubitState(0.6j, 0.8j)
-    c = canonical_phase(s)
-    assert c.a0 == pytest.approx(0.6, abs=1e-15)
-    assert c.a1 == pytest.approx(0.8, abs=1e-15)
-    # leading zero amplitude: phase taken from the second component
-    c2 = canonical_phase(QubitState(0, -1))
-    assert c2.a1 == pytest.approx(1.0, abs=1e-15)
-
-
 def test_prepare_pair_amplitudes_quarter_pi():
     state = prepare_pair(math.pi / 4, 0)
-    reals = state.to_reals()
-    # wire order (x,0),(y,0),(x,90),(y,90), re/im interleaved
-    expect = [1 / RT2, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0]
-    assert reals == pytest.approx(expect, abs=1e-15)
+    # cos|x>|0,0> + sin|y>|1,0> = (1/rt2, 0, 1/2, 1/2) internally, all real
+    assert state.amp == pytest.approx((1 / RT2, 0, 0.5, 0.5), abs=1e-15)
+    assert all(z.imag == 0 for z in state.amp)
 
 
 def test_prepare_pair_q1_amplitudes():
@@ -120,18 +110,6 @@ def test_prepare_pair_rejects_endpoints():
     for theta in (0.0, math.pi / 2, -0.2, 2.0):
         with pytest.raises(StateError):
             prepare_pair(theta, 0)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v = v / np.linalg.norm(v)
-        s = PairState(tuple(v))
-        back = PairState.from_reals(s.to_reals())
-        assert back.amp == s.amp
-    with pytest.raises(StateError):
-        PairState.from_reals([0.0] * 7)
 
 
 def test_schmidt_of_standard_preparation():
