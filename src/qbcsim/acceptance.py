@@ -52,6 +52,7 @@ class CriterionResult:
             "passed": self.passed,
             "elapsed": round(self.elapsed, 3),
             "budget": self.budget,
+            "headroom": round(self.elapsed / self.budget, 3),  # share of the budget used
             "checks": [c.to_dict() for c in self.checks],
         }
 

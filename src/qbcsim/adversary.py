@@ -19,8 +19,11 @@ Alice-side strategies:
 
 Bob-side strategies:
 
-- EarlyExtractBob: after c' is announced, run a Bayesian codeword sweep over
-  his own measurement record and guess the committed bit before any unveil.
+- EarlyExtractBob: after c' is announced, price every candidate pattern
+  w xor c' from his own measurement record and guess the committed bit, the
+  mask parity of w, before any unveil.  The sums over the 2^k codewords are
+  taken over the 2^(n-k) words of the dual code when that side is smaller
+  (Poisson summation), so a rate-4/5 code costs 2^(n/5) products, not 2^k.
 - FrequencyCheatBob: lie with different class frequencies than agreed while
   adjusting his own acceptance bands so he never flags himself.
 
@@ -32,6 +35,7 @@ against the (2/3)^(d/2) bound set by the code distance d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,7 +76,7 @@ from .qstate import (
 FAKE_POLICIES = ("send-x", "send-best-guess")
 PREPARATION_VARIANTS = ("all-product", "variant-B", "variant-C")
 
-# Bayesian extraction enumerates every codeword, so cap the code size.
+# Bayesian extraction enumerates codewords or dual words, so cap the code size.
 EXTRACT_MAX_N = 20
 EXTRACT_MAX_K = 16
 
@@ -300,37 +304,35 @@ def extract_commit_bit(run: RunState, rng: RandomStream) -> ExtractionResult:
     """Best guess at the committed bit from Bob's pre-unveil view.
 
     Uses only announcements, Bob's own outcomes, and the public code data;
-    Alice's value bits and register outcomes stay out of reach.
+    Alice's value bits and register outcomes stay out of reach.  Codeword w
+    makes the pattern w xor c', whose bit j Bob's record puts at 1 with
+    probability P_j; w0 and w1 sum the pattern likelihoods over the codewords
+    of mask parity 0 and 1.  With W = w0 + w1 and S = w0 - w1, Poisson
+    summation turns both into sums over the 2^(n-k) words of the dual code,
+    up to the common factor 2^(k-n), with delta_j = (-1)^(c'_j) (1 - 2 P_j):
+
+        W ~ sum_{y in C-perp} prod_{j in y} delta_j
+        S ~ sum_{y in C-perp} prod_{j in y xor r} delta_j
+
+    (Hartmann-Rudolph symbol-by-symbol MAP decoding).  Whichever of the
+    code and its dual is smaller is enumerated.  An exact tie w0 == w1 is
+    broken by a coin.
     """
     code = run.code
     if code is None or run.c_prime is None:
         raise StrategyError("extraction runs after the commit phase only")
     if code.n > EXTRACT_MAX_N or code.k > EXTRACT_MAX_K:
         raise UnsupportedScale(
-            f"extraction enumerates 2^k patterns of length n; ({code.n},{code.k}) "
+            f"extraction sums over codewords of length n; ({code.n},{code.k}) "
             f"exceeds the ({EXTRACT_MAX_N},{EXTRACT_MAX_K}) cap"
         )
-    prob_one = np.array(
-        [_posterior_measured(run, i) for i in run.rest_indices], dtype=float
-    )
-
-    words = lincode.codewords(code)
-    patterns = words ^ run.c_prime.astype(np.uint8)[None, :]
-    log_zero = np.log1p(-prob_one)  # prob_one < 1 always holds
-    positive = prob_one > 0.0
-    loglik = np.full(len(words), log_zero.sum())
-    if positive.any():
-        logit = np.log(prob_one[positive]) - log_zero[positive]
-        loglik += patterns[:, positive].astype(float) @ logit
-    if (~positive).any():
-        impossible = patterns[:, ~positive].any(axis=1)
-        loglik[impossible] = -np.inf
-
-    parities = (words @ np.asarray(run.mask, dtype=np.uint64)) & 1
-    shift = loglik.max()
-    weights = np.exp(loglik - shift)
-    w1 = float(weights[parities == 1].sum())
-    w0 = float(weights.sum()) - w1
+    undetected = [run.records[i] for i in run.rest_indices]
+    prob_one = [
+        _posterior_measured(run.params.theta_for(r.index), r.ann_basis, r.ann_value,
+                            r.bob_set == DELAYED, r.bob_basis, r.bob_outcome)
+        for r in undetected
+    ]
+    w0, w1 = _parity_weights(code, prob_one, run.c_prime, run.mask)
     if w1 > w0:
         guess = 1
     elif w0 > w1:
@@ -341,36 +343,49 @@ def extract_commit_bit(run: RunState, rng: RandomStream) -> ExtractionResult:
     return ExtractionResult(guess=guess, posterior=posterior, truth=run.committed_bit)
 
 
-def _posterior_measured(run: RunState, index: int) -> float:
+def _parity_weights(code: lincode.GeneratorMatrix, prob_one, c_prime, mask) -> tuple[float, float]:
+    """Unnormalized (w0, w1) summed over C or C-perp; see extract_commit_bit."""
+    p = np.asarray(prob_one, dtype=float)
+    flip = np.asarray(c_prime, dtype=bool)
+    signed = np.asarray(mask, dtype=bool)
+    # factor pairs (zero, one): a word takes one[j] where bit j is set, else zero[j]
+    if code.k <= code.n - code.k:  # W and S directly, S signed by (-1)^(w.r)
+        words = lincode.codewords(code)
+        zero, one = np.where(flip, p, 1.0 - p), np.where(flip, 1.0 - p, p)
+        factors = [(zero, one), (zero, np.where(signed, -one, one))]
+    else:
+        words = lincode.dual_codewords(code)
+        delta = np.where(flip, -1.0, 1.0) * (1.0 - 2.0 * p)
+        factors = [(np.ones_like(delta), delta),
+                   (np.where(signed, delta, 1.0), np.where(signed, 1.0, delta))]
+    total, signed_total = (
+        np.where(words == 1, one, zero).prod(axis=1).sum() for zero, one in factors
+    )
+    return float(total + signed_total) / 2.0, float(total - signed_total) / 2.0
+
+
+@functools.lru_cache(maxsize=4096)
+def _posterior_measured(theta, p2, q2, delayed, bob_basis, bob_outcome) -> float:
     """P(pattern bit = 1 | Bob's view) for one undetected index.
 
     The pattern bit is 1 exactly when Alice's value bit differs from the
-    announced value.  Weigh both value hypotheses by the likelihood of Bob's
-    own data, times the chance the index stayed out of D.
+    announced value q2.  Weigh both value hypotheses by the likelihood of
+    Bob's own data, times the chance the index stayed out of D.  Depends on
+    scalars only, so each combination is computed once.
     """
-    rec = run.records[index]
-    theta = run.params.theta_for(index)
-    p2, q2 = rec.ann_basis, rec.ann_value
     weights = {}
     for v in (0, 1):
-        if rec.bob_set == DELAYED:
-            base = 1.0  # photon untouched, no data to price
-            if v == q2:
-                escape = 1.0
-            else:
-                # register marginal gives P(outcome x) = cos^2 theta
-                match = math.cos(theta) ** 2 if p2 == 0 else math.sin(theta) ** 2
-                escape = 1.0 - match
+        # a delayed photon is untouched, so Bob has no outcome to price
+        base = 1.0 if delayed else born_probabilities_photon(
+            prepare_pair(theta, v), bob_basis)[bob_outcome]
+        if v == q2:
+            escape = 1.0
+        elif delayed:
+            # register marginal gives P(outcome x) = cos^2 theta
+            escape = 1.0 - (math.cos(theta) ** 2 if p2 == 0 else math.sin(theta) ** 2)
         else:
-            base = born_probabilities_photon(prepare_pair(theta, v), rec.bob_basis)[
-                rec.bob_outcome
-            ]
-            if v == q2:
-                escape = 1.0
-            else:
-                e = expected_alpha_after_photon(theta, v, rec.bob_basis, rec.bob_outcome)
-                amps = e.amplitudes()
-                escape = 1.0 - abs(amps[p2]) ** 2
+            amps = expected_alpha_after_photon(theta, v, bob_basis, bob_outcome).amplitudes()
+            escape = 1.0 - abs(amps[p2]) ** 2
         weights[v] = base * escape
     return weights[1 - q2] / (weights[0] + weights[1])
 

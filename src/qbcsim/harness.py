@@ -212,7 +212,7 @@ class RunConfig:
             raise ConfigError("trials must be >= 1")
         params = build_params(d["params"])
         bit = d.get("bit")
-        if bit not in (None, 0, 1):
+        if bit is not None and _as_int(bit, "bit") not in (0, 1):
             raise ConfigError("bit must be null, 0 or 1")
         # accepted for old configs; batches always run serially
         if _as_int(d.get("threads", 1), "threads") < 1:
@@ -299,13 +299,28 @@ def _as_real(value, name: str) -> float:
     return float(value)
 
 
+_INT_PARAMS = ("s", "s_prime")
+_REAL_PARAMS = ("f_a", "f_b", "f_c", "ratio_k", "ratio_d", "tolerance_z")
+
+
 def build_params(d: dict) -> ProtocolParams:
     if not isinstance(d, dict):
         raise ConfigError("params must be a JSON object")
     kwargs = dict(d)
+    # values are checked, not converted, so the config echo keeps them as given
+    for key in _INT_PARAMS:
+        if key in kwargs:
+            _as_int(kwargs[key], key)
+    for key in _REAL_PARAMS:
+        if key in kwargs:
+            _as_real(kwargs[key], key)
     theta = kwargs.get("theta")
-    if isinstance(theta, list):
+    if isinstance(theta, (list, tuple)):
+        for angle in theta:
+            _as_real(angle, "theta")
         kwargs["theta"] = tuple(theta)
+    elif "theta" in kwargs:
+        _as_real(theta, "theta")
     try:
         return ProtocolParams(**kwargs)
     except TypeError as exc:

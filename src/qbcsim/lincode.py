@@ -10,6 +10,8 @@ Distance scans, enumeration and distance counts share one codebook walk:
 rows packed into ceil(n/64) uint64 words, spanned by XOR-doubling so that
 codeword i is the XOR of the rows j with bit j of i set, weighed by popcount.
 Past k = 16 the walk yields blocks of 2^16 codewords in the same order.
+`parity_check` gives the null space of a generator as n-k rows spanning the
+dual code C-perp, and `dual_codewords` enumerates C-perp with the same walk.
 """
 
 from __future__ import annotations
@@ -146,12 +148,49 @@ def encode(G: GeneratorMatrix, message) -> np.ndarray:
     return (msg @ G.rows) & 1
 
 
+def _enumerate(rows: np.ndarray, n: int) -> np.ndarray:
+    if len(rows) > ENUMERATION_MAX_K:
+        raise UnsupportedScale(f"full enumeration capped at dimension {ENUMERATION_MAX_K}")
+    words = next(_codebook_blocks(rows)).view(np.uint8)
+    return np.unpackbits(words, axis=1, count=n, bitorder="little")
+
+
 def codewords(G: GeneratorMatrix) -> np.ndarray:
     """All 2^k codewords as a (2^k, n) array; meant for small k only."""
-    if G.k > ENUMERATION_MAX_K:
-        raise UnsupportedScale(f"full enumeration capped at k={ENUMERATION_MAX_K}")
-    words = next(_codebook_blocks(G.rows)).view(np.uint8)
-    return np.unpackbits(words, axis=1, count=G.n, bitorder="little")
+    return _enumerate(G.rows, G.n)
+
+
+def parity_check(G: GeneratorMatrix) -> np.ndarray:
+    """(n-k, n) parity-check matrix H: its rows span C-perp and G.H^T = 0.
+
+    Gauss-Jordan elimination over rows packed into Python ints (bit j is
+    column j) leaves one row per pivot column, zero in every other pivot
+    column.  Row i of H sets free column f_i and, on each pivot column p, the
+    bit f_i of p's reduced row.
+    """
+    reduced: dict[int, int] = {}  # pivot column -> reduced row
+    for bits in np.packbits(G.rows, axis=1, bitorder="little"):
+        r = int.from_bytes(bits.tobytes(), "little")
+        for p, row in reduced.items():
+            if r >> p & 1:
+                r ^= row
+        p = (r & -r).bit_length() - 1  # full rank, so r != 0
+        for q, row in reduced.items():
+            if row >> p & 1:
+                reduced[q] = row ^ r
+        reduced[p] = r
+    free = [f for f in range(G.n) if f not in reduced]
+    H = np.zeros((len(free), G.n), dtype=np.uint8)
+    pivots = list(reduced)
+    for i, f in enumerate(free):
+        H[i, f] = 1
+        H[i, pivots] = [row >> f & 1 for row in reduced.values()]
+    return H
+
+
+def dual_codewords(G: GeneratorMatrix) -> np.ndarray:
+    """All 2^(n-k) words of the dual code as a (2^(n-k), n) array."""
+    return _enumerate(parity_check(G), G.n)
 
 
 def min_distance(G: GeneratorMatrix) -> int:

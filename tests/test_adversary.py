@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qbcsim import adversary as adv
 from qbcsim import lincode
@@ -370,6 +372,58 @@ def test_early_extract_identity_code_leaks():
         r = execute_run(params, rng, bob=adv.EarlyExtractBob(), code_provider=identity_code_provider())
         hits += r.extraction.guess == r.extraction.truth
     assert hits / trials >= 0.53
+
+
+def _primal_parity_weights(code, prob_one, c_prime, mask):
+    """Reference (w0, w1): log-likelihood of every pattern over all 2^k codewords."""
+    words = lincode.codewords(code)
+    patterns = words ^ np.asarray(c_prime, dtype=np.uint8)[None, :]
+    log_zero = np.log1p(-prob_one)
+    positive = prob_one > 0.0
+    loglik = np.full(len(words), log_zero.sum())
+    if positive.any():
+        logit = np.log(prob_one[positive]) - log_zero[positive]
+        loglik += patterns[:, positive].astype(float) @ logit
+    if (~positive).any():
+        loglik[patterns[:, ~positive].any(axis=1)] = -np.inf
+    parities = (words @ np.asarray(mask, dtype=np.uint64)) & 1
+    weights = np.exp(loglik - loglik.max())
+    w1 = float(weights[parities == 1].sum())
+    return float(weights.sum()) - w1, w1
+
+
+# c' is drawn as a run draws it, a codeword XOR a pattern sampled from the
+# prices, so some codeword always has positive likelihood.  The dual sum adds
+# signed terms of size up to 1, so a c' far from every codeword (which no run
+# produces) can leave W small and cost the dual side its relative accuracy.
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, adv.EXTRACT_MAX_N),
+    k=st.integers(1, adv.EXTRACT_MAX_K),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(n=12, k=4, seed=1, zero_share=0.3)  # codeword side: k <= n - k
+@example(n=20, k=16, seed=2, zero_share=0.3)  # dual side, criterion 7's shape
+@example(n=9, k=9, seed=3, zero_share=0.0)  # identity code: C-perp = {0}
+def test_dual_parity_weights_match_primal_reference(n, k, seed, zero_share):
+    assume(k <= n)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    assume(lincode._gf2_rank(rows) == k)
+    code = lincode.GeneratorMatrix(rows=rows, n=n, k=k, verified_min_distance=0)  # unused
+    prob_one = rng.random(n)
+    prob_one[rng.random(n) < zero_share] = 0.0
+    pattern = (rng.random(n) < prob_one).astype(np.uint8)
+    c_prime = lincode.encode(code, rng.integers(0, 2, size=k)) ^ pattern
+    mask = rng.integers(0, 2, size=n, dtype=np.uint8)
+
+    w0, w1 = adv._parity_weights(code, prob_one, c_prime, mask)
+    r0, r1 = _primal_parity_weights(code, prob_one, c_prime, mask)
+    assert abs(w1 / (w0 + w1) - r1 / (r0 + r1)) <= 1e-12
+    assert abs(max(w0, w1) / (w0 + w1) - max(r0, r1) / (r0 + r1)) <= 1e-12
+    if abs(r1 - r0) > 1e-9 * (r0 + r1):
+        assert (w1 > w0) == (r1 > r0)
 
 
 def test_early_extract_scale_guard():

@@ -96,6 +96,15 @@ def test_run_rejects_mistyped_code_config(tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params", [{"s": 60.0}, {"s": True}, {"theta": "0.7"}, {"f_a": True}])
+def test_run_rejects_mistyped_params(tmp_path, capsys, params):
+    base = {"s": 60, "f_a": 0.10, "f_b": 0.15, "f_c": 0.05, "s_prime": 12}
+    config = write_config(tmp_path, params=dict(base, **params))
+    assert main(["run", "--config", config]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1
@@ -227,6 +236,9 @@ def test_verify_subset_json(capsys):
     assert [entry["key"] for entry in payload] == ["codes"]
     assert payload[0]["passed"] is True
     assert payload[0]["number"] == 8
+    entry = payload[0]
+    assert entry["headroom"] == pytest.approx(entry["elapsed"] / entry["budget"], abs=1e-3)
+    assert 0.0 <= entry["headroom"] <= 1.0
 
 
 def test_verify_comma_separated_subset(capsys):

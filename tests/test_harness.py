@@ -70,13 +70,41 @@ def test_config_wraps_params_errors():
 
 
 def test_config_bit_and_threads_ranges():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(config_dict(bit=2))
+    # true, false and 1.0 compare equal to 1 and 0 but would be echoed as written
+    for bad in (2, True, False, 1.0, "1"):
+        with pytest.raises(ConfigError, match="bit"):
+            RunConfig.from_dict(config_dict(bit=bad))
     # threads is a legacy key: ignored, but still has to be an integer >= 1
     for bad in (0, True, "2"):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(config_dict(threads=bad))
     assert RunConfig.from_dict(config_dict(bit=1)).bit == 1
+    assert RunConfig.from_dict(config_dict(bit=0)).echo()["bit"] == 0
+    assert RunConfig.from_dict(config_dict(bit=None)).bit is None
+
+
+MISTYPED_PARAMS = (
+    ("s", 60.0), ("s", True), ("s", "60"), ("s_prime", 12.0), ("s_prime", False),
+    ("f_a", True), ("f_b", "0.15"), ("f_c", float("nan")), ("ratio_k", "0.8"),
+    ("tolerance_z", float("inf")), ("theta", True), ("theta", "0.7"),
+    ("theta", float("inf")), ("theta", [0.7] * 59 + [None]),
+)
+
+
+@pytest.mark.parametrize("key,value", MISTYPED_PARAMS)
+def test_config_params_must_be_typed(key, value):
+    # s = 60.0 used to pass and die in the first trial; s = true ran as s = 1
+    d = config_dict()
+    d["params"] = dict(d["params"], **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(d)
+
+
+def test_config_params_are_echoed_as_given():
+    d = config_dict()
+    d["params"] = dict(d["params"], theta=1, f_c=0.05)
+    echo = RunConfig.from_dict(d).echo()["params"]
+    assert echo["theta"] == 1 and isinstance(echo["theta"], int)
 
 
 def test_config_flags_must_be_booleans():
@@ -217,8 +245,9 @@ def test_thread_count_does_not_change_results():
 
 # sha256 of report_json + transcripts for 20 trials from seed 20261020.  A
 # change that moves these hashes changes the mapping from seed to result; it
-# must say so and update the pins on purpose.  early-extract stays out: its
-# float matmul runs through BLAS, whose summation order is not pinned.
+# must say so and update the pins on purpose.  early-extract is pinned at
+# criterion 7's shape below: its extraction caps n at 20, below these s = 60
+# runs, and its parity sums use no BLAS call whose summation order could vary.
 PINNED_REPORTS = {
     "honest": "f1b439fa6d8c3be716281d67094cdd0359cca306008e397712490bf9efd58d9b",
     "fake-unmeasured:2:send-best-guess":
@@ -244,6 +273,23 @@ def test_report_fingerprints_are_pinned(alice):
     }))
     text = report_json(report) + json.dumps(report.transcripts, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[alice]
+
+
+PINNED_EARLY_EXTRACT = "9ff47147a0bb2b15f998765ceaffda7e6f8ad93fd3cf399749a60c3b5361d227"
+
+
+def test_early_extract_fingerprint_is_pinned():
+    report = run_batch(RunConfig.from_dict({
+        "master_seed": 20261020,
+        "trials": 20,
+        "params": {"s": 20, "f_a": 0.01, "f_b": 0.02, "f_c": 0.01,
+                   "ratio_k": 0.8, "ratio_d": 0.05},
+        "label": "pinned",
+        "bob": "early-extract",
+        "transcripts": True,
+    }))
+    text = report_json(report) + json.dumps(report.transcripts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EARLY_EXTRACT
 
 
 def test_trial_rng_is_order_insensitive():
@@ -348,6 +394,12 @@ def test_sweep_skips_infeasible_points_and_continues():
     assert outcomes["s_prime_frac=0.2"] is None
     assert outcomes["s_prime_frac=0.9"] is not None
     assert sweep.points[1].report is None
+
+
+def test_sweep_skips_mistyped_points():
+    sweep = run_sweep(config_dict(trials=4), {"s": [24, 24.0, True], "s_prime_frac": [0.2]})
+    assert [p.skipped is None for p in sweep.points] == [True, False, False]
+    assert all("s must be an integer" in p.skipped for p in sweep.points[1:])
 
 
 def test_sweep_rejects_unknown_axis():

@@ -23,6 +23,7 @@ from qbcsim.lincode import (
     codewords,
     count_codewords_at_distance,
     dot,
+    dual_codewords,
     encode,
     generate_code,
     identity_code_provider,
@@ -30,6 +31,7 @@ from qbcsim.lincode import (
     inv_binary_entropy,
     mask_is_degenerate,
     min_distance,
+    parity_check,
     ratio_code_provider,
     sample_codeword_with_parity,
     sample_nondegenerate_mask,
@@ -349,3 +351,55 @@ def test_packed_codebook_matches_dense_reference(n, k, seed, threshold):
     dist = (dense ^ c).sum(axis=1)
     for d0 in (int(dist.min()), int(rng.integers(0, n + 1))):
         assert count_codewords_at_distance(G, c, d0) == int(np.count_nonzero(dist == d0))
+
+
+def _dense_null_space(rows: np.ndarray) -> np.ndarray:
+    """Null space over GF(2) by uint8 row reduction, one basis row per free column."""
+    m = rows.copy()
+    pivots = []
+    for col in range(m.shape[1]):
+        r = len(pivots)
+        hits = np.flatnonzero(m[r:, col])
+        if hits.size == 0:
+            continue
+        m[[r, r + hits[0]]] = m[[r + hits[0], r]]
+        for i in np.flatnonzero(m[:, col]):
+            if i != r:
+                m[i] ^= m[r]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(m.shape[1]) if c not in pivots):
+        h = np.zeros(m.shape[1], dtype=np.uint8)
+        h[f] = 1
+        for i, p in enumerate(pivots):
+            h[p] = m[i, f]
+        basis.append(h)
+    return np.array(basis, dtype=np.uint8).reshape(-1, m.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(5, 65), k=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+@example(n=9, k=9, seed=1)  # k = n: C-perp is {0}
+def test_parity_check_spans_the_dual_code(n, k, seed):
+    assume(k <= n)
+    rows = np.random.default_rng(seed).integers(0, 2, size=(k, n), dtype=np.uint8)
+    assume(_gf2_rank(rows) == k)
+    G = GeneratorMatrix(rows=rows, n=n, k=k, verified_min_distance=0)  # distance unused
+    H = parity_check(G)
+    assert H.shape == (n - k, n)
+    assert _gf2_rank(H) == n - k
+    assert not ((G.rows.astype(np.int64) @ H.T.astype(np.int64)) & 1).any()
+    dense = _dense_null_space(rows)
+    assert _gf2_rank(np.vstack([H, dense])) == n - k
+    if n - k <= 10:
+        dual = dual_codewords(G)
+        assert np.array_equal(dual, _dense_codebook(H))
+        assert len({w.tobytes() for w in dual}) == 1 << (n - k)
+
+
+def test_dual_codewords_of_hamming_code():
+    G = GeneratorMatrix.from_rows(HAMMING_7_4)
+    dual = dual_codewords(G)
+    # the dual of the [7,4,3] Hamming code is the [7,3,4] simplex code
+    assert sorted(dual.sum(axis=1)) == [0] + [4] * 7
+    assert not ((codewords(G).astype(np.int64) @ dual.T) & 1).any()
