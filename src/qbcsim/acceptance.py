@@ -98,14 +98,24 @@ def _four_sigma(p: float, n: int) -> float:
 # 1: photon statistics and conditional register states
 
 
+def photon_projection(pair_amp, pol_amp) -> np.ndarray:
+    """Dense reference for a photon projection: (I kron |pol><pol|) @ pair.
+
+    Works on raw amplitude sequences with numpy alone, so it stays independent
+    of the memoized qstate transitions it is used to cross-check.
+    """
+    pol = np.asarray(pol_amp, dtype=complex)
+    projector = np.kron(np.eye(2), np.outer(pol, pol.conj()))
+    return projector @ np.asarray(pair_amp, dtype=complex)
+
+
 def _projection_oracle(theta: float, q: int, basis: int, value: int) -> np.ndarray:
     """Independent register-state computation: explicit kron projector."""
-    pair = np.asarray(qstate.prepare_pair(theta, q).amp, dtype=complex)
-    pol = qstate.pol_ket(basis, value)
-    pol_vec = np.array([pol.a0, pol.a1], dtype=complex)
-    projector = np.kron(np.eye(2), np.outer(pol_vec, pol_vec.conj()))
-    projected = projector @ pair
-    alpha = projected.reshape(2, 2) @ pol_vec.conj()
+    pair = (math.cos(theta) * np.kron([1.0, 0.0], qstate.pol_ket(0, q).amplitudes())
+            + math.sin(theta) * np.kron([0.0, 1.0], qstate.pol_ket(1, q).amplitudes()))
+    pol = qstate.pol_ket(basis, value).amplitudes()
+    projected = photon_projection(pair, pol)
+    alpha = projected.reshape(2, 2) @ np.conj(pol)
     norm = np.linalg.norm(alpha)
     if norm < 1e-12:
         raise AssertionError("projection annihilated the state")

@@ -55,7 +55,10 @@ def _effective_config(args) -> dict:
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise harness.ConfigError("config must be a JSON object")
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise harness.ConfigError("params must be a JSON object")
+    params = dict(params)
     for attr, key in _PARAM_OVERRIDES:
         value = getattr(args, attr)
         if value is not None:
@@ -110,6 +113,8 @@ def cmd_run(args) -> int:
         return _fail(f"cannot read config {args.config}: {exc}")
     except harness.ConfigError as exc:
         return _fail(str(exc))
+    if args.transcripts_out and not config.transcripts:
+        return _fail("--transcripts-out needs a config with \"transcripts\": true")
     report = harness.run_batch(config)
     _print_batch(report)
     harness.write_report(
@@ -158,13 +163,11 @@ def cmd_sweep(args) -> int:
 
 def _born_oracle(state, basis: int) -> tuple[float, float]:
     """Photon outcome probabilities via an explicit kron projector."""
-    vec = np.asarray(state.amp, dtype=complex)
-    probs = []
-    for value in (0, 1):
-        pol = qstate.pol_ket(basis, value)
-        pol_vec = np.array([pol.a0, pol.a1], dtype=complex)
-        projector = np.kron(np.eye(2), np.outer(pol_vec, pol_vec.conj()))
-        probs.append(float(np.linalg.norm(projector @ vec) ** 2))
+    probs = [
+        float(np.linalg.norm(acceptance.photon_projection(
+            state.amp, qstate.pol_ket(basis, value).amplitudes())) ** 2)
+        for value in (0, 1)
+    ]
     total = probs[0] + probs[1]
     return probs[0] / total, probs[1] / total
 

@@ -578,9 +578,13 @@ def run_sweep(base: dict, grid: dict) -> SweepReport:
     unknown = set(grid) - set(SWEEP_AXES)
     if unknown:
         raise ConfigError(f"unknown sweep axes: {sorted(unknown)}")
+    if not isinstance(base, dict):
+        raise ConfigError("base must be a JSON object")
     base_seed = _as_int(base.get("master_seed", 0), "master_seed")
-    axes = [(name, list(grid[name])) for name in SWEEP_AXES if name in grid]
+    axes = [(name, grid[name]) for name in SWEEP_AXES if name in grid]
     for name, values in axes:
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"sweep axis {name!r} must be a list")
         if not values:
             raise ConfigError(f"sweep axis {name!r} is empty")
     combos = itertools.product(*(values for _, values in axes)) if axes else iter(())

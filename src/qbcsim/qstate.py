@@ -16,15 +16,26 @@ Conventions used throughout the package:
   with angle theta and value bit q is
       cos(theta)|x>|0,q> + sin(theta)|y>|1,q> ,   theta in (0, pi/2) open.
 - States are immutable values.  A measurement never mutates its input; it
-  returns the sampled outcome together with a fresh collapsed state.  The
-  fixed kets (KET_X, KET_Y and the four returned by pol_ket) are built once
-  at import and shared by every caller.
+  returns the sampled outcome together with the collapsed state.  The fixed
+  kets (KET_X, KET_Y and the four returned by pol_ket) are built once at
+  import and shared by every caller.
+- The pure transitions are memoized: prepare_pair, expected_alpha_after_photon
+  and, for each measurement, the branch weights and the collapsed state.  At
+  a fixed theta a run only reaches a handful of distinct states, so each is
+  built and validated once and then shared; the collapsed state a measurement
+  returns is one immutable object handed to every caller that reaches it.
+  The random draw is never cached: each measurement still draws once, and
+  only the drawn outcome's collapse is built.  Equal states share one entry,
+  and == does not tell 0.0 from -0.0, so a shared state may carry a zero of
+  the other sign; no probability or outcome depends on that sign.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +47,12 @@ ALPHA_Y = 1
 # Constructors keep amplitudes normalized to this tolerance; measurement
 # re-normalizes explicitly so accumulated float error stays ~1e-15.
 _NORM_TOL = 1e-9
+
+# Entries kept per memoized transition.  A fixed theta reaches at most a few
+# dozen keys per transition; the bound caps memory when every pair has its
+# own angle.
+_CACHE_SIZE = 4096
+_memo = functools.lru_cache(maxsize=_CACHE_SIZE)
 
 
 class StateError(ValueError):
@@ -140,6 +157,7 @@ def tensor(alpha: QubitState, photon: QubitState) -> PairState:
     )
 
 
+@_memo
 def prepare_pair(theta: float, q: int) -> PairState:
     """Entangled preparation cos(theta)|x>|0,q> + sin(theta)|y>|1,q>.
 
@@ -182,18 +200,24 @@ def _photon_components(state: PairState, alpha: QubitState) -> tuple[complex, co
     return p0, p1
 
 
-def _photon_branches(
-    state: PairState, basis: int
-) -> tuple[list[tuple[complex, complex]], list[float]]:
-    """Unnormalized alpha components and Born weights for photon values 0 and 1."""
-    comps = [_alpha_components(state, pol_ket(basis, v)) for v in (0, 1)]
-    weights = [abs(ax) ** 2 + abs(ay) ** 2 for ax, ay in comps]
-    return comps, weights
+@_memo
+def _photon_weights(state: PairState, basis: int) -> tuple[float, float]:
+    """Unnormalized Born weights for photon values 0 and 1 in `basis`."""
+    return tuple(
+        abs(ax) ** 2 + abs(ay) ** 2
+        for ax, ay in (_alpha_components(state, pol_ket(basis, v)) for v in (0, 1))
+    )
+
+
+@_memo
+def _photon_collapse(state: PairState, basis: int, outcome: int) -> PairState:
+    photon = pol_ket(basis, outcome)
+    return tensor(unit_qubit(*_alpha_components(state, photon)), photon)
 
 
 def born_probabilities_photon(state: PairState, basis: int) -> tuple[float, float]:
     """Outcome probabilities (value 0, value 1) for a photon measurement in `basis`."""
-    _, (p0, p1) = _photon_branches(state, basis)
+    p0, p1 = _photon_weights(state, basis)
     total = p0 + p1
     return (p0 / total, p1 / total)
 
@@ -215,11 +239,10 @@ def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int
     (outcome, collapsed) : the sampled value bit and the post-measurement
     product state, whose alpha factor is the exact conditional state.
     """
-    comps, (p0, p1) = _photon_branches(state, basis)
+    p0, p1 = _photon_weights(state, basis)
     total = p0 + p1
     outcome = 0 if rng.random() * total < p0 else 1
-    alpha = unit_qubit(*comps[outcome])
-    return outcome, tensor(alpha, pol_ket(basis, outcome))
+    return outcome, _photon_collapse(state, basis, outcome)
 
 
 def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
@@ -231,6 +254,21 @@ def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
     return measure_alpha_in(state, KET_X, rng)
 
 
+@_memo
+def _alpha_weights(state: PairState, basis0: QubitState) -> tuple[float, float]:
+    """Unnormalized Born weights for register outcomes basis0 and basis0-perp."""
+    return tuple(
+        abs(p0) ** 2 + abs(p1) ** 2
+        for p0, p1 in (_photon_components(state, b) for b in (basis0, orthogonal(basis0)))
+    )
+
+
+@_memo
+def _alpha_collapse(state: PairState, basis0: QubitState, outcome: int) -> PairState:
+    vec = basis0 if outcome == 0 else orthogonal(basis0)
+    return tensor(vec, unit_qubit(*_photon_components(state, vec)))
+
+
 def measure_alpha_in(
     state: PairState, basis0: QubitState, rng: RandomStream
 ) -> tuple[int, PairState]:
@@ -239,21 +277,32 @@ def measure_alpha_in(
     Outcome 0 reports projection onto basis0.  Works on entangled and product
     states alike; the photon factor collapses to the matching conditional state.
     """
-    basis1 = orthogonal(basis0)
-    c0 = _photon_components(state, basis0)
-    c1 = _photon_components(state, basis1)
-    p0 = abs(c0[0]) ** 2 + abs(c0[1]) ** 2
-    p1 = abs(c1[0]) ** 2 + abs(c1[1]) ** 2
+    p0, p1 = _alpha_weights(state, basis0)
     total = p0 + p1
     outcome = 0 if rng.random() * total < p0 else 1
-    vec, comp = (basis0, c0) if outcome == 0 else (basis1, c1)
-    return outcome, tensor(vec, unit_qubit(*comp))
+    return outcome, _alpha_collapse(state, basis0, outcome)
 
 
 def measure_in_basis(state: QubitState, basis0: QubitState, rng: RandomStream) -> int:
     """Two-outcome measurement of a lone qubit; 0 means it matched basis0."""
     p0 = abs(overlap(basis0, state)) ** 2
     return 0 if rng.random() < p0 else 1
+
+
+@_memo
+def _joint_match(state: PairState, reference: PairState) -> float:
+    return abs(pair_overlap(reference, state)) ** 2
+
+
+@_memo
+def _joint_residual(state: PairState, reference: PairState) -> Optional[PairState]:
+    """Normalized projection onto the complement of `reference`; None if it vanishes."""
+    ov = pair_overlap(reference, state)
+    residual = tuple(a - ov * r for a, r in zip(state.amp, reference.amp))
+    norm = math.sqrt(sum(abs(z) ** 2 for z in residual))
+    if norm < 1e-150:
+        return None
+    return PairState(tuple(z / norm for z in residual))
 
 
 def measure_pair_in_state(
@@ -264,16 +313,13 @@ def measure_pair_in_state(
     Outcome 0 means the state passed (projected onto the reference); outcome 1
     projects onto the orthogonal complement within the 4-dim joint space.
     """
-    ov = pair_overlap(reference, state)
-    p_match = abs(ov) ** 2
-    if rng.random() < p_match:
+    if rng.random() < _joint_match(state, reference):
         return 0, reference
-    residual = tuple(a - ov * r for a, r in zip(state.amp, reference.amp))
-    norm = math.sqrt(sum(abs(z) ** 2 for z in residual))
-    if norm < 1e-150:
+    residual = _joint_residual(state, reference)
+    if residual is None:
         # probability of reaching this branch is < 1e-300; keep it safe anyway
         return 0, reference
-    return 1, PairState(tuple(z / norm for z in residual))
+    return 1, residual
 
 
 def schmidt_coefficients(state: PairState) -> tuple[float, float]:
@@ -314,6 +360,7 @@ def factor_product(state: PairState, tol: float = 1e-9) -> tuple[QubitState, Qub
     return unit_qubit(ax, ay), photon
 
 
+@_memo
 def expected_alpha_after_photon(theta: float, q: int, basis: int, outcome: int) -> QubitState:
     """Conditional alpha state of the standard preparation given a photon result.
 

@@ -105,6 +105,29 @@ def test_run_rejects_mistyped_params(tmp_path, capsys, params):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params", [5, "ab"])
+def test_run_rejects_params_that_are_not_an_object(tmp_path, capsys, params):
+    config = write_config(tmp_path, params=params)
+    assert main(["run", "--config", config]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "params" in err and "Traceback" not in err
+
+
+def test_run_transcripts_out_needs_recorded_transcripts(tmp_path, capsys):
+    json_out = tmp_path / "report.json"
+    code = main([
+        "run", "--config", write_config(tmp_path), "--json-out", str(json_out),
+        "--transcripts-out", str(tmp_path / "transcripts.json"),
+    ])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "transcripts" in captured.err
+    # refused before the batch ran: nothing printed, no report written
+    assert "effective config" not in captured.out
+    assert not json_out.exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_usage_error_exits_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1
@@ -141,6 +164,15 @@ def test_sweep_empty_grid_succeeds(tmp_path, capsys):
     path.write_text(json.dumps(document))
     assert main(["sweep", "--config", str(path)]) == 0
     assert "0 grid points" in capsys.readouterr().out
+
+
+def test_sweep_rejects_axis_that_is_not_a_list(tmp_path, capsys):
+    document = {"base": json.loads(open(write_config(tmp_path)).read()), "grid": {"s": 5}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(document))
+    assert main(["sweep", "--config", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "'s'" in err and "Traceback" not in err
 
 
 def test_sweep_requires_base_and_grid(tmp_path, capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbcsim import qstate
 from qbcsim.qstate import (
     PairState,
     QubitState,
@@ -296,3 +299,151 @@ def test_measurement_does_not_mutate_input():
     measure_photon(state, 1, rng)
     measure_alpha(state, rng)
     assert state.amp == before
+
+
+# ---------------------------------------------------------------------------
+# memoized transitions against an uncached reference
+#
+# The reference below repeats each transition's arithmetic step by step and
+# builds every state afresh, so a cached result must match it exactly: same
+# outcome from an identically seeded generator, ==-equal amplitudes and the
+# same number of draws.
+
+
+def ref_prepare_pair(theta, q):
+    k0, k1 = pol_ket(0, q), pol_ket(1, q)
+    c, s = math.cos(theta), math.sin(theta)
+    return PairState((c * k0.a0, c * k0.a1, s * k1.a0, s * k1.a1))
+
+
+def ref_alpha_components(state, photon):
+    k0, k1 = photon.a0.conjugate(), photon.a1.conjugate()
+    return (state.amp[0] * k0 + state.amp[1] * k1, state.amp[2] * k0 + state.amp[3] * k1)
+
+
+def ref_photon_components(state, alpha):
+    b0, b1 = alpha.a0.conjugate(), alpha.a1.conjugate()
+    return (b0 * state.amp[0] + b1 * state.amp[2], b0 * state.amp[1] + b1 * state.amp[3])
+
+
+def ref_measure_photon(state, basis, rng):
+    comps = [ref_alpha_components(state, pol_ket(basis, v)) for v in (0, 1)]
+    p0, p1 = (abs(ax) ** 2 + abs(ay) ** 2 for ax, ay in comps)
+    outcome = 0 if rng.random() * (p0 + p1) < p0 else 1
+    return outcome, tensor(unit_qubit(*comps[outcome]), pol_ket(basis, outcome))
+
+
+def ref_measure_alpha_in(state, basis0, rng):
+    basis1 = orthogonal(basis0)
+    c0 = ref_photon_components(state, basis0)
+    c1 = ref_photon_components(state, basis1)
+    p0 = abs(c0[0]) ** 2 + abs(c0[1]) ** 2
+    p1 = abs(c1[0]) ** 2 + abs(c1[1]) ** 2
+    outcome = 0 if rng.random() * (p0 + p1) < p0 else 1
+    vec, comp = (basis0, c0) if outcome == 0 else (basis1, c1)
+    return outcome, tensor(vec, unit_qubit(*comp))
+
+
+def ref_measure_pair_in_state(state, reference, rng):
+    ov = sum(r.conjugate() * a for r, a in zip(reference.amp, state.amp))
+    if rng.random() < abs(ov) ** 2:
+        return 0, reference
+    residual = tuple(a - ov * r for a, r in zip(state.amp, reference.amp))
+    norm = math.sqrt(sum(abs(z) ** 2 for z in residual))
+    if norm < 1e-150:
+        return 0, reference
+    return 1, PairState(tuple(z / norm for z in residual))
+
+
+def ref_expected_alpha(theta, q, basis, outcome):
+    return unit_qubit(*ref_alpha_components(ref_prepare_pair(theta, q), pol_ket(basis, outcome)))
+
+
+_component = st.floats(-1.0, 1.0, allow_nan=False)
+_theta = st.floats(1e-6, math.pi / 2 - 1e-6)
+
+
+@st.composite
+def _unit_vector(draw, size):
+    parts = [complex(draw(_component), draw(_component)) for _ in range(size)]
+    norm = math.sqrt(sum(abs(z) ** 2 for z in parts))
+    if norm < 1e-3:
+        parts, norm = [1.0] + [0.0] * (size - 1), 1.0
+    return tuple(z / norm for z in parts)
+
+
+pair_states = _unit_vector(4).map(PairState)
+qubit_states = _unit_vector(2).map(lambda a: QubitState(*a))
+
+
+def _same_draws(seed, cached, reference):
+    """Run both sides from one seed; they must agree and leave the streams level."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = cached(rng_a), reference(rng_b)
+    assert got == want
+    assert rng_a.random() == rng_b.random()
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=pair_states,
+    basis0=qubit_states,
+    reference=pair_states,
+    theta=_theta,
+    q=st.integers(0, 1),
+    basis=st.integers(0, 1),
+    outcome=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_memoized_transitions_match_uncached_reference(
+    state, basis0, reference, theta, q, basis, outcome, seed
+):
+    prepared = prepare_pair(theta, q)
+    assert prepared == ref_prepare_pair(theta, q)
+    assert prepare_pair(theta, q) is prepared
+    assert expected_alpha_after_photon(theta, q, basis, outcome) == ref_expected_alpha(
+        theta, q, basis, outcome)
+    for start in (state, prepared):
+        # later seeds hit the cache, often with the other outcome drawn
+        for s in (seed, seed + 1, seed + 2, seed):
+            first, collapsed = _same_draws(
+                s,
+                lambda rng: measure_photon(start, basis, rng),
+                lambda rng: ref_measure_photon(start, basis, rng))
+            _same_draws(
+                s,
+                lambda rng: measure_alpha_in(start, basis0, rng),
+                lambda rng: ref_measure_alpha_in(start, basis0, rng))
+            _same_draws(
+                s,
+                lambda rng: measure_pair_in_state(start, reference, rng),
+                lambda rng: ref_measure_pair_in_state(start, reference, rng))
+            _same_draws(
+                s,
+                lambda rng: measure_pair_in_state(start, prepared, rng),
+                lambda rng: ref_measure_pair_in_state(start, prepared, rng))
+        weights = [abs(ax) ** 2 + abs(ay) ** 2
+                   for ax, ay in (ref_alpha_components(start, pol_ket(basis, v)) for v in (0, 1))]
+        assert born_probabilities_photon(start, basis) == tuple(w / sum(weights) for w in weights)
+        # the collapsed photon has a zero-weight branch; remeasuring it in the
+        # same basis must not build that branch
+        rng = np.random.default_rng(seed)
+        again, recollapsed = measure_photon(collapsed, basis, rng)
+        assert again == first
+        assert pairs_equal_up_to_phase(recollapsed, collapsed)
+        out, _ = measure_alpha_in(collapsed, factor_product(collapsed)[0], rng)
+        assert out == 0
+
+
+_MEMOIZED = {
+    "prepare_pair", "expected_alpha_after_photon", "_photon_weights", "_photon_collapse",
+    "_alpha_weights", "_alpha_collapse", "_joint_match", "_joint_residual",
+}
+
+
+def test_every_cache_is_bounded():
+    cached = {name for name, fn in vars(qstate).items() if hasattr(fn, "cache_info")}
+    assert cached == _MEMOIZED
+    for name in cached:
+        assert getattr(qstate, name).cache_info().maxsize is not None
