@@ -286,6 +286,9 @@ def _fake_unveil_rate(s: int, m: int, provider, trials: int, seed: int) -> float
 
 
 def criterion_binding() -> CriterionResult:
+    # Tests the send-x fabrication policy only.  Under send-best-guess the same
+    # d = 6 batch (seed 55016, 1000 trials) is accepted at 0.729, against the
+    # (2/3)^3 = 0.296 bound (ROADMAP item 1).
     rec = _Recorder()
     stats = adversary.fake_survival_trials(80_000, np.random.default_rng(55001), policy="send-x")
     # the sqrt(2/3)|x> + sqrt(1/3)|y> conditional arises when Bob's rectilinear
@@ -317,7 +320,9 @@ def criterion_binding() -> CriterionResult:
         [round(r, 4) for r in trend],
         "non-increasing over s = 500, 1000, 2000",
     )
-    return rec.finish(5, "binding", "fake-register survival and fake-unveil suppression", 180.0)
+    return rec.finish(5, "binding",
+                      "fake-register survival and fake-unveil suppression (send-x policy)",
+                      180.0)
 
 
 # ---------------------------------------------------------------------------

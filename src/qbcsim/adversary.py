@@ -163,11 +163,9 @@ class OverMeasureAlice(AliceStrategy):
             raise StrategyError(
                 f"cannot over-measure {self.extra} registers, only {len(pool)} unmeasured"
             )
-        picks = rng.choice(len(pool), size=self.extra, replace=False)
-        for j in picks:
-            i = pool[int(j)]
+        picks = [pool[int(j)] for j in rng.choice(len(pool), size=self.extra, replace=False)]
+        for i, p in zip(picks, run.env.measure_alphas(picks, ALICE, rng)):
             rec = run.records[i]
-            p = run.env.measure_alpha(i, ALICE, rng)
             rec.alice_outcome = p
             run.really_measured.add(i)
             run.claimed_measured.add(i)
@@ -193,20 +191,26 @@ class WrongPreparationAlice(AliceStrategy):
             )
         self.variant = variant
 
-    def prepare(self, index: int, params: ProtocolParams, rng: RandomStream):
-        theta = params.theta_for(index)
-        q = int(rng.integers(0, 2))
-        c, s = math.cos(theta), math.sin(theta)
-        if self.variant == "all-product":
-            if rng.random() < c * c:
-                state = tensor(KET_X, pol_ket(0, q))
-            else:
-                state = tensor(KET_Y, pol_ket(1, q))
-        elif self.variant == "variant-B":
-            state = PairState((c, 0.0, 0.0, s))
-        else:  # variant-C
-            state = PairState((c, 0.0, -s / math.sqrt(2.0), s / math.sqrt(2.0)))
-        return state, theta, q
+    def prepare(self, params: ProtocolParams, rng: RandomStream):
+        # per pair a value bit, then (all-product) the branch draw, interleaved
+        states, thetas, qs = [], [], []
+        for index in range(params.s):
+            theta = params.theta_for(index)
+            q = int(rng.integers(0, 2))
+            c, s = math.cos(theta), math.sin(theta)
+            if self.variant == "all-product":
+                if rng.random() < c * c:
+                    state = tensor(KET_X, pol_ket(0, q))
+                else:
+                    state = tensor(KET_Y, pol_ket(1, q))
+            elif self.variant == "variant-B":
+                state = PairState((c, 0.0, 0.0, s))
+            else:  # variant-C
+                state = PairState((c, 0.0, -s / math.sqrt(2.0), s / math.sqrt(2.0)))
+            states.append(state)
+            thetas.append(theta)
+            qs.append(q)
+        return states, thetas, qs
 
 
 class BitFlipAlice(_FabricatingAlice):

@@ -20,6 +20,17 @@ Naming used everywhere:
 Set membership is tracked twice: what Alice claims (drives the messages) and
 what physically happened (drives the quantum checks).  Honest strategies keep
 the two identical; adversaries in the adversary module pry them apart.
+
+Random draws: every step consumes the generator in the order a loop over the
+pairs would, so the mapping from seed to result does not depend on how the
+work is batched.  The steps run on the environment's batch methods
+(send_many, measure_photons, measure_alphas, measure_joints), which draw the
+Born samples of a sweep as one rng.random(n) block; honest Alice draws her s
+value bits and Bob the announcements of his delayed set as one
+rng.integers(0, 2, size=n) block.  numpy gives the same numbers as n single
+draws.  The U3 sweeps stop at their first failed check and rewind the
+generator to just past it.  Bob's C2 basis bits and Born draws alternate, so
+they stay one pair of draws per index.
 """
 
 from __future__ import annotations
@@ -34,7 +45,11 @@ import numpy as np
 from . import lincode
 from .lincode import CodeProvider, GeneratorMatrix, ratio_code_provider
 from .qstate import (
+    ALPHA,
+    JOINT,
     KET_X,
+    PHOTON,
+    Measurement,
     PairState,
     QubitState,
     RandomStream,
@@ -203,7 +218,8 @@ def _check_angle(t: float) -> None:
 
 class Transcript:
     """Ordered event log; JSON-lines on disk, one {seq, actor, kind, payload}
-    object per line.  With recording off only the sequence counter advances."""
+    object per line.  With recording off nothing is kept, and the hot loops
+    skip building payloads by checking `recording` first."""
 
     def __init__(self, recording: bool = True) -> None:
         self.recording = recording
@@ -211,8 +227,8 @@ class Transcript:
         self._seq = 0
 
     def append(self, actor: str, kind: str, **payload) -> None:
-        self._seq += 1
         if self.recording:
+            self._seq += 1
             self.events.append(
                 {"seq": self._seq, "actor": actor, "kind": kind, "payload": payload}
             )
@@ -233,43 +249,79 @@ class Transcript:
 class RegisterEnvironment:
     """Holds every joint state and enforces who may touch what.
 
-    Ownership is tracked per subsystem ("alpha", "photon").  Measurements and
-    sends go through here so each is both access-checked and logged.
+    Pairs are numbered 0, 1, ... in creation order and stored in per-index
+    lists: the joint state, and per subsystem ("alpha", "photon") its owner
+    and whether it was measured.  Measurements and sends go through here so
+    each is both access-checked and logged.
+
+    The batch forms (send_many, measure_photons, measure_alphas,
+    measure_joints) check every index's owner before they draw or change
+    anything, and then act like the per-index calls in index order: the same
+    draws (n Born draws are one rng.random(n) block), states, flags and
+    events.  A sweep given `expect` ends right after the first outcome that
+    differs from it, as a loop that stops at a failed check would, and
+    leaves the generator where that loop leaves it.
     """
 
     def __init__(self, transcript: Optional[Transcript] = None) -> None:
         self.transcript = transcript if transcript is not None else Transcript(False)
-        self._states: dict[int, PairState] = {}
-        self._owner: dict[tuple[int, str], str] = {}
-        self._measured: set[tuple[int, str]] = set()
+        self._states: list[PairState] = []
+        self._owner: dict[str, list[str]] = {"alpha": [], "photon": []}
+        self._measured: dict[str, list[bool]] = {"alpha": [], "photon": []}
 
-    def create_pair(self, index: int, state: PairState, party: str) -> None:
-        if index in self._states:
-            raise ProtocolError(f"pair {index} already exists")
-        self._states[index] = state
-        self._owner[(index, "alpha")] = party
-        self._owner[(index, "photon")] = party
-        self.transcript.append(party, "prepare", index=index)
+    def create_pair(self, index: int, state: PairState, party: str,
+                    photon_to: Optional[str] = None) -> None:
+        """Add pair `index` held by `party`; photon_to hands its photon over
+        at once, logged as a send right after the preparation."""
+        if index != len(self._states):
+            raise ProtocolError(f"cannot create pair {index}: pairs are created in index "
+                                f"order and the next one is {len(self._states)}")
+        self._states.append(state)
+        self._owner["alpha"].append(party)
+        self._owner["photon"].append(party if photon_to is None else photon_to)
+        self._measured["alpha"].append(False)
+        self._measured["photon"].append(False)
+        if self.transcript.recording:
+            self.transcript.append(party, "prepare", index=index)
+            if photon_to is not None:
+                self.transcript.append(party, "send", index=index, subsystem="photon",
+                                       to=photon_to)
 
     def send(self, index: int, subsystem: str, sender: str, receiver: str) -> None:
         self._require(index, subsystem, sender)
-        self._owner[(index, subsystem)] = receiver
+        self._owner[subsystem][index] = receiver
         self.transcript.append(sender, "send", index=index, subsystem=subsystem, to=receiver)
 
+    def send_many(self, indices, subsystem: str, sender: str, receiver: str) -> None:
+        owners = self._require_all(indices, subsystem, sender)
+        for i in indices:
+            owners[i] = receiver
+        if self.transcript.recording:
+            for i in indices:
+                self.transcript.append(sender, "send", index=i, subsystem=subsystem, to=receiver)
+
     def _require(self, index: int, subsystem: str, party: str) -> None:
-        owner = self._owner.get((index, subsystem))
-        if owner is None:
-            raise ProtocolError(f"no such subsystem ({index}, {subsystem})")
-        if owner != party:
+        self._require_all((index,), subsystem, party)
+
+    def _require_all(self, indices, subsystem: str, party: str) -> list[str]:
+        """Owner list of `subsystem`, once `party` is known to hold every index."""
+        owners = self._owner.get(subsystem)
+        bad = [i for i in indices if owners is None or not 0 <= i < len(owners)]
+        if bad:
+            raise ProtocolError(f"no such subsystem ({bad[0]}, {subsystem})")
+        held = [owners[i] for i in indices]
+        if held.count(party) != len(held):
+            j = next(j for j, owner in enumerate(held) if owner != party)
             raise EnvironmentBreach(
-                f"{party} acted on ({index}, {subsystem}) owned by {owner}"
+                f"{party} acted on ({indices[j]}, {subsystem}) owned by {held[j]}"
             )
+        return owners
 
     def measure_photon(self, index: int, party: str, basis: int, rng: RandomStream) -> int:
         self._require(index, "photon", party)
         outcome, collapsed = _pair_measure_photon(self._states[index], basis, rng)
         self._states[index] = collapsed
-        self._measured.add((index, "photon"))
+        self._measured["photon"][index] = True
         self.transcript.append(party, "measure-photon", index=index, basis=basis, outcome=outcome)
         return outcome
 
@@ -278,7 +330,7 @@ class RegisterEnvironment:
         self._require(index, "alpha", party)
         outcome, collapsed = _pair_measure_alpha(self._states[index], rng)
         self._states[index] = collapsed
-        self._measured.add((index, "alpha"))
+        self._measured["alpha"][index] = True
         self.transcript.append(party, "measure-alpha", index=index, outcome=outcome)
         return outcome
 
@@ -286,7 +338,7 @@ class RegisterEnvironment:
         self._require(index, "alpha", party)
         outcome, collapsed = _qubit_measure_alpha_in(self._states[index], basis0, rng)
         self._states[index] = collapsed
-        self._measured.add((index, "alpha"))
+        self._measured["alpha"][index] = True
         self.transcript.append(party, "measure-alpha-in", index=index, outcome=outcome)
         return outcome
 
@@ -296,10 +348,107 @@ class RegisterEnvironment:
         self._require(index, "photon", party)
         outcome, collapsed = measure_pair_in_state(self._states[index], reference, rng)
         self._states[index] = collapsed
-        self._measured.add((index, "alpha"))
-        self._measured.add((index, "photon"))
+        self._measured["alpha"][index] = True
+        self._measured["photon"][index] = True
         self.transcript.append(party, "measure-joint", index=index, outcome=outcome)
         return outcome
+
+    # -- sweeps: one call for many indices, same draws as the per-index loop
+
+    def measure_photons(self, indices, party: str, bases, rng: RandomStream,
+                        expect=None) -> list[int]:
+        """measure_photon(indices[j], party, bases[j], rng) for every j."""
+        self._require_all(indices, "photon", party)
+        outcomes = self._sweep(PHOTON, indices, bases, rng, expect)
+        self._record(party, "measure-photon", ("photon",), indices, outcomes, bases)
+        return outcomes
+
+    def measure_photons_in_random_bases(self, indices, party: str,
+                                        rng: RandomStream) -> tuple[list[int], list[int]]:
+        """Photon measurements in fair-coin bases: (bases, outcomes).
+
+        Each basis bit is drawn right before its Born draw, as in a per-index
+        loop.  PCG64 serves bits from halves of 64-bit words and doubles from
+        whole words, so these pairs cannot be split into two blocks without
+        changing the stream; only the bookkeeping is batched.
+        """
+        self._require_all(indices, "photon", party)
+        bases, draws = [], []
+        for _ in indices:
+            bases.append(_uniform_bit(rng))
+            draws.append(rng.random())
+        outcomes = self._apply(PHOTON, indices, bases, draws, None)
+        self._record(party, "measure-photon", ("photon",), indices, outcomes, bases)
+        return bases, outcomes
+
+    def measure_alphas(self, indices, party: str, rng: RandomStream, bases0=None,
+                       expect=None) -> list[int]:
+        """measure_alpha for every index, or measure_alpha_in(indices[j],
+        party, bases0[j], rng) when bases0 is given."""
+        self._require_all(indices, "alpha", party)
+        keys = [KET_X] * len(indices) if bases0 is None else bases0
+        outcomes = self._sweep(ALPHA, indices, keys, rng, expect)
+        kind = "measure-alpha" if bases0 is None else "measure-alpha-in"
+        self._record(party, kind, ("alpha",), indices, outcomes)
+        return outcomes
+
+    def measure_joints(self, indices, party: str, references, rng: RandomStream,
+                       expect=None) -> list[int]:
+        """measure_joint(indices[j], party, references[j], rng) for every j."""
+        self._require_all(indices, "alpha", party)
+        self._require_all(indices, "photon", party)
+        outcomes = self._sweep(JOINT, indices, references, rng, expect)
+        self._record(party, "measure-joint", ("alpha", "photon"), indices, outcomes)
+        return outcomes
+
+    def _sweep(self, measurement: Measurement, indices, keys, rng: RandomStream,
+               expect) -> list[int]:
+        n = len(indices)
+        if n == 0:
+            return []
+        start = rng.bit_generator.state if expect is not None else None
+        outcomes = self._apply(measurement, indices, keys, rng.random(n).tolist(), expect)
+        if len(outcomes) < n:
+            # a per-index loop stops drawing at the failed check: end there too
+            rng.bit_generator.state = start
+            rng.random(len(outcomes))
+        return outcomes
+
+    def _apply(self, measurement: Measurement, indices, keys, draws, expect) -> list[int]:
+        """Measure indices[j] against keys[j] with uniform draws[j], in order."""
+        branch, collapse = measurement.branch, measurement.collapse
+        states = self._states
+        # (id(state), id(key)) -> [state, key, p0, total, outcome 0, outcome 1];
+        # holding state and key keeps their ids unique for the whole sweep
+        seen: dict = {}
+        outcomes: list[int] = []
+        for j, i in enumerate(indices):
+            state, key = states[i], keys[j]
+            entry = seen.get((id(state), id(key)))
+            if entry is None:
+                entry = [state, key, *branch(state, key), None, None]
+                seen[(id(state), id(key))] = entry
+            drawn = 0 if draws[j] * entry[3] < entry[2] else 1
+            result = entry[4 + drawn]
+            if result is None:
+                result = entry[4 + drawn] = collapse(state, key, drawn)
+            outcome, states[i] = result
+            outcomes.append(outcome)
+            if expect is not None and outcome != expect[j]:
+                break
+        return outcomes
+
+    def _record(self, party: str, kind: str, subsystems, indices, outcomes,
+                bases=None) -> None:
+        """Mark what the first len(outcomes) indices measured and log them."""
+        for subsystem in subsystems:
+            flags = self._measured[subsystem]
+            for i in indices[:len(outcomes)]:
+                flags[i] = True
+        if self.transcript.recording:
+            for j, outcome in enumerate(outcomes):
+                basis = {} if bases is None else {"basis": bases[j]}
+                self.transcript.append(party, kind, index=indices[j], outcome=outcome, **basis)
 
     def replace_alpha(self, index: int, party: str, fresh: QubitState) -> None:
         """Swap in a fabricated register state.
@@ -324,17 +473,17 @@ class RegisterEnvironment:
         return schmidt_coefficients(self._states[index])
 
     def photon_measured(self, index: int) -> bool:
-        return (index, "photon") in self._measured
+        return self._measured["photon"][index]
 
     def alpha_measured(self, index: int) -> bool:
-        return (index, "alpha") in self._measured
+        return self._measured["alpha"][index]
 
 
 # ---------------------------------------------------------------------------
 # per-pair records and run state
 
 
-@dataclass
+@dataclass(slots=True)
 class PairRecord:
     index: int
     q: int
@@ -487,11 +636,14 @@ class AliceStrategy:
 
     name = "honest"
 
-    def prepare(self, index: int, params: ProtocolParams, rng: RandomStream):
-        """Return (joint state, claimed theta, claimed q) for one pair."""
-        q = _uniform_bit(rng)
-        theta = params.theta_for(index)
-        return prepare_pair(theta, q), theta, q
+    def prepare(self, params: ProtocolParams, rng: RandomStream):
+        """Return (joint states, claimed thetas, claimed qs), one entry per pair.
+
+        The s value bits are one block, the same draws as s single bits.
+        """
+        qs = rng.integers(0, 2, size=params.s).tolist()
+        thetas = [params.theta_for(i) for i in range(params.s)]
+        return [prepare_pair(t, q) for t, q in zip(thetas, qs)], thetas, qs
 
     def pre_encode(self, run: RunState, rng: RandomStream) -> None:
         """Runs between the C5 verdict and the codeword layer."""
@@ -539,11 +691,12 @@ class BobStrategy:
 
 def alice_commit_prepare(run: RunState, alice: AliceStrategy, rng: RandomStream) -> None:
     """C1: prepare s pairs, keep the registers, send every photon to Bob."""
-    for i in range(run.params.s):
-        state, theta, q = alice.prepare(i, run.params, rng)
-        run.records.append(PairRecord(index=i, q=q, theta=theta))
-        run.env.create_pair(i, state, ALICE)
-        run.env.send(i, "photon", ALICE, BOB)
+    states, thetas, qs = alice.prepare(run.params, rng)
+    if not len(states) == len(thetas) == len(qs) == run.params.s:
+        raise StrategyError("prepare must return s states, angles and value bits")
+    for i, (state, theta, q) in enumerate(zip(states, thetas, qs)):
+        run.records.append(PairRecord(i, q, theta))
+        run.env.create_pair(i, state, ALICE, photon_to=BOB)
 
 
 def bob_partition_measure(run: RunState, bob: BobStrategy, rng: RandomStream) -> None:
@@ -551,12 +704,16 @@ def bob_partition_measure(run: RunState, bob: BobStrategy, rng: RandomStream) ->
     run.delayed = bob.choose_delayed(run.params, rng)
     if len(run.delayed) != run.params.s_prime:
         raise ProtocolError("delayed set has the wrong size")
+    measured = []
     for rec in run.records:
         if rec.index in run.delayed:
             rec.bob_set = DELAYED
         else:
-            rec.bob_basis = _uniform_bit(rng)
-            rec.bob_outcome = run.env.measure_photon(rec.index, BOB, rec.bob_basis, rng)
+            measured.append(rec)
+    bases, outcomes = run.env.measure_photons_in_random_bases(
+        [rec.index for rec in measured], BOB, rng)
+    for rec, basis, outcome in zip(measured, bases, outcomes):
+        rec.bob_basis, rec.bob_outcome = basis, outcome
 
 
 def bob_announce(run: RunState, bob: BobStrategy, rng: RandomStream) -> None:
@@ -564,21 +721,25 @@ def bob_announce(run: RunState, bob: BobStrategy, rng: RandomStream) -> None:
     and uniformly at random on the delayed set."""
     measured = [r.index for r in run.records if r.bob_set == MEASURED]
     assignment = assign_lie_classes(measured, bob.lie_counts(run.params), rng)
+    # (p'', q'') of each delayed index in index order, as one block of bits
+    coins = iter(rng.integers(0, 2, size=2 * (run.params.s - len(measured))).tolist())
     sets: dict[str, set] = {"a": set(), "b": set(), "c": set(), "honest": set()}
     for rec in run.records:
         if rec.bob_set == DELAYED:
             rec.lie = "random"
-            rec.ann_basis = _uniform_bit(rng)
-            rec.ann_value = _uniform_bit(rng)
+            rec.ann_basis = next(coins)
+            rec.ann_value = next(coins)
         else:
             rec.lie = assignment[rec.index]
             sets[rec.lie].add(rec.index)
             rec.ann_basis, rec.ann_value = announced_for(
                 rec.lie, rec.bob_basis, rec.bob_outcome
             )
-        run.transcript.append(
-            BOB, "announce", index=rec.index, basis=rec.ann_basis, value=rec.ann_value
-        )
+    if run.transcript.recording:
+        for rec in run.records:
+            run.transcript.append(
+                BOB, "announce", index=rec.index, basis=rec.ann_basis, value=rec.ann_value
+            )
     run.lie_sets = {k: frozenset(v) for k, v in sets.items()}
 
 
@@ -586,19 +747,20 @@ def alice_detect(run: RunState, rng: RandomStream) -> None:
     """C4: split by q'' vs q_i, measure the claimed-measured registers, and
     announce D, the indices whose register outcome matches the announced
     basis."""
-    detected = set()
+    claimed = []
     for rec in run.records:
-        if rec.ann_value == 1 - rec.q:
-            rec.alice_set = "M"
-            run.claimed_measured.add(rec.index)
-            run.really_measured.add(rec.index)
-            rec.alice_outcome = run.env.measure_alpha(rec.index, ALICE, rng)
-            run.p_claims[rec.index] = rec.alice_outcome
-            if rec.alice_outcome == rec.ann_basis:
-                rec.in_detected = True
-                detected.add(rec.index)
-        else:
-            rec.alice_set = "U"
+        rec.alice_set = "M" if rec.ann_value == 1 - rec.q else "U"
+        if rec.alice_set == "M":
+            claimed.append(rec.index)
+    run.claimed_measured.update(claimed)
+    run.really_measured.update(claimed)
+    detected = set()
+    for i, outcome in zip(claimed, run.env.measure_alphas(claimed, ALICE, rng)):
+        rec = run.records[i]
+        rec.alice_outcome = run.p_claims[i] = outcome
+        if outcome == rec.ann_basis:
+            rec.in_detected = True
+            detected.add(i)
     run.detected = frozenset(detected)
     run.rest_indices = tuple(i for i in range(run.params.s) if i not in run.detected)
     run.transcript.append(ALICE, "announce-detected", detected=sorted(detected))
@@ -613,11 +775,10 @@ def bob_check_commit(run: RunState, bob: BobStrategy, rng: RandomStream) -> None
     opposite value).  (ii) D may contain only lied-about or delayed indices.
     (iii) |D| must sit inside the agreed statistical band.
     """
-    for i in sorted(run.detected & run.delayed):
-        rec = run.records[i]
-        outcome = run.env.measure_photon(i, BOB, rec.ann_basis, rng)
-        if outcome == rec.ann_value:
-            run.c5_hits += 1
+    checked = sorted(run.detected & run.delayed)
+    bases = [run.records[i].ann_basis for i in checked]
+    outcomes = run.env.measure_photons(checked, BOB, bases, rng)
+    run.c5_hits += sum(o == run.records[i].ann_value for i, o in zip(checked, outcomes))
     if run.c5_hits:
         _reject_commit(run, "C5-photon")
         return
@@ -682,11 +843,16 @@ def alice_unveil(run: RunState, alice: AliceStrategy, rng: RandomStream) -> Unve
         p_claims=dict(run.p_claims),
         alpha_indices=tuple(sorted(run.claimed_unmeasured())),
     )
+    pending = []
     for i in package.alpha_indices:
         fake = alice.fake_alpha(run, i, rng)
         if fake is not None:
+            # hand over the registers before i first, so events keep their order
+            run.env.send_many(pending, "alpha", ALICE, BOB)
+            pending = []
             run.env.replace_alpha(i, ALICE, fake)
-        run.env.send(i, "alpha", ALICE, BOB)
+        pending.append(i)
+    run.env.send_many(pending, "alpha", ALICE, BOB)
     run.transcript.append(ALICE, "unveil", bit=package.bit, weight=int(c0.sum()))
     return package
 
@@ -709,32 +875,33 @@ def bob_verify_unveil(
     """
     claimed_M_minus_D = [i for i in run.rest_indices if i in run.claimed_measured]
     claimed_U = package.alpha_indices
+    thetas, qs = package.theta_claims, package.q_claims
 
-    for i in claimed_U:
-        if i not in run.delayed:
-            continue
-        reference = prepare_pair(package.theta_claims[i], package.q_claims[i])
-        if run.env.measure_joint(i, BOB, reference, rng) == 1:
-            _reject_unveil(run, "U3a")
-            return
-    for i in claimed_U:
-        if i in run.delayed:
-            continue
-        rec = run.records[i]
-        e = expected_alpha_after_photon(
-            package.theta_claims[i], package.q_claims[i], rec.bob_basis, rec.bob_outcome
+    # each sweep stops at its first failure, as a per-index loop would
+    joint = [i for i in claimed_U if i in run.delayed]
+    passed = [0] * len(joint)
+    references = [prepare_pair(thetas[i], qs[i]) for i in joint]
+    if run.env.measure_joints(joint, BOB, references, rng, expect=passed) != passed:
+        _reject_unveil(run, "U3a")
+        return
+    register = [i for i in claimed_U if i not in run.delayed]
+    passed = [0] * len(register)
+    conditional = [
+        expected_alpha_after_photon(
+            thetas[i], qs[i], run.records[i].bob_basis, run.records[i].bob_outcome
         )
-        if run.env.measure_alpha_in(i, BOB, e, rng) == 1:
-            _reject_unveil(run, "U3b")
-            return
-    for i in claimed_M_minus_D:
-        if i not in run.delayed:
-            continue
-        p_claim = package.p_claims[i]
-        outcome = run.env.measure_photon(i, BOB, p_claim, rng)
-        if outcome != package.q_claims[i]:
-            _reject_unveil(run, "U3c")
-            return
+        for i in register
+    ]
+    if run.env.measure_alphas(register, BOB, rng, bases0=conditional,
+                              expect=passed) != passed:
+        _reject_unveil(run, "U3b")
+        return
+    photon = [i for i in claimed_M_minus_D if i in run.delayed]
+    values = [qs[i] for i in photon]
+    bases = [package.p_claims[i] for i in photon]
+    if run.env.measure_photons(photon, BOB, bases, rng, expect=values) != values:
+        _reject_unveil(run, "U3c")
+        return
 
     claimed_M = len(run.detected) + int(package.c0.sum())
     mean, sigma = bob.measured_band(run.params)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -222,38 +222,6 @@ def born_probabilities_photon(state: PairState, basis: int) -> tuple[float, floa
     return (p0 / total, p1 / total)
 
 
-def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int, PairState]:
-    """Projectively measure the photon in polarization basis `basis`.
-
-    Parameters
-    ----------
-    state : PairState
-        Joint state before measurement (not modified).
-    basis : int
-        0 for rectilinear, 1 for diagonal.
-    rng : numpy Generator
-        Source of the Born-rule sample.
-
-    Returns
-    -------
-    (outcome, collapsed) : the sampled value bit and the post-measurement
-    product state, whose alpha factor is the exact conditional state.
-    """
-    p0, p1 = _photon_weights(state, basis)
-    total = p0 + p1
-    outcome = 0 if rng.random() * total < p0 else 1
-    return outcome, _photon_collapse(state, basis, outcome)
-
-
-def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
-    """Measure the alpha register in its computational (|x>, |y>) basis.
-
-    Returns (outcome, collapsed) where outcome 0 means |x> and 1 means |y>;
-    the photon factor of the collapsed state is the exact conditional state.
-    """
-    return measure_alpha_in(state, KET_X, rng)
-
-
 @_memo
 def _alpha_weights(state: PairState, basis0: QubitState) -> tuple[float, float]:
     """Unnormalized Born weights for register outcomes basis0 and basis0-perp."""
@@ -267,26 +235,6 @@ def _alpha_weights(state: PairState, basis0: QubitState) -> tuple[float, float]:
 def _alpha_collapse(state: PairState, basis0: QubitState, outcome: int) -> PairState:
     vec = basis0 if outcome == 0 else orthogonal(basis0)
     return tensor(vec, unit_qubit(*_photon_components(state, vec)))
-
-
-def measure_alpha_in(
-    state: PairState, basis0: QubitState, rng: RandomStream
-) -> tuple[int, PairState]:
-    """Measure the alpha register in the orthonormal basis (basis0, basis0-perp).
-
-    Outcome 0 reports projection onto basis0.  Works on entangled and product
-    states alike; the photon factor collapses to the matching conditional state.
-    """
-    p0, p1 = _alpha_weights(state, basis0)
-    total = p0 + p1
-    outcome = 0 if rng.random() * total < p0 else 1
-    return outcome, _alpha_collapse(state, basis0, outcome)
-
-
-def measure_in_basis(state: QubitState, basis0: QubitState, rng: RandomStream) -> int:
-    """Two-outcome measurement of a lone qubit; 0 means it matched basis0."""
-    p0 = abs(overlap(basis0, state)) ** 2
-    return 0 if rng.random() < p0 else 1
 
 
 @_memo
@@ -305,6 +253,102 @@ def _joint_residual(state: PairState, reference: PairState) -> Optional[PairStat
     return PairState(tuple(z / norm for z in residual))
 
 
+def _weighed(weights):
+    def branch(state: PairState, key) -> tuple[float, float]:
+        p0, p1 = weights(state, key)
+        return p0, p0 + p1
+
+    return branch
+
+
+def _collapsed(collapse):
+    def outcome_and_state(state: PairState, key, outcome: int) -> tuple[int, PairState]:
+        return outcome, collapse(state, key, outcome)
+
+    return outcome_and_state
+
+
+def _joint_branch(state: PairState, reference: PairState) -> tuple[float, float]:
+    # the pass weight is already a probability, and u * 1.0 < match is u < match
+    return _joint_match(state, reference), 1.0
+
+
+def _joint_outcome(state: PairState, reference: PairState, outcome: int) -> tuple[int, PairState]:
+    if outcome == 0:
+        return 0, reference
+    residual = _joint_residual(state, reference)
+    if residual is None:
+        # probability of reaching this branch is < 1e-300; keep it safe anyway
+        return 0, reference
+    return 1, residual
+
+
+@dataclass(frozen=True, slots=True)
+class Measurement:
+    """One two-outcome projective measurement, split into its memoized parts.
+
+    branch(state, key) gives (p0, total): with the measurement's one uniform
+    draw u, outcome 0 happens exactly when u * total < p0.  collapse(state,
+    key, outcome) gives the reported outcome and the post-measurement state.
+    The key is the photon basis bit (PHOTON), the first vector of the
+    register basis (ALPHA) or the reference pair state (JOINT).  sample() is
+    the one-pair form; a sweep over many pairs looks both parts up once per
+    distinct (state, key) and applies them to a block of draws.
+    """
+
+    branch: Callable[[PairState, object], tuple[float, float]]
+    collapse: Callable[[PairState, object, int], tuple[int, PairState]]
+
+    def sample(self, state: PairState, key, u: float) -> tuple[int, PairState]:
+        p0, total = self.branch(state, key)
+        return self.collapse(state, key, 0 if u * total < p0 else 1)
+
+
+PHOTON = Measurement(_weighed(_photon_weights), _collapsed(_photon_collapse))
+ALPHA = Measurement(_weighed(_alpha_weights), _collapsed(_alpha_collapse))
+JOINT = Measurement(_joint_branch, _joint_outcome)
+
+
+def measure_photon(state: PairState, basis: int, rng: RandomStream) -> tuple[int, PairState]:
+    """Projectively measure the photon in polarization basis `basis`.
+
+    Parameters
+    ----------
+    state : PairState
+        Joint state before measurement (not modified).
+    basis : int
+        0 for rectilinear, 1 for diagonal.
+    rng : numpy Generator
+        Source of the Born-rule sample.
+
+    Returns
+    -------
+    (outcome, collapsed) : the sampled value bit and the post-measurement
+    product state, whose alpha factor is the exact conditional state.
+    """
+    return PHOTON.sample(state, basis, rng.random())
+
+
+def measure_alpha(state: PairState, rng: RandomStream) -> tuple[int, PairState]:
+    """Measure the alpha register in its computational (|x>, |y>) basis.
+
+    Returns (outcome, collapsed) where outcome 0 means |x> and 1 means |y>;
+    the photon factor of the collapsed state is the exact conditional state.
+    """
+    return measure_alpha_in(state, KET_X, rng)
+
+
+def measure_alpha_in(
+    state: PairState, basis0: QubitState, rng: RandomStream
+) -> tuple[int, PairState]:
+    """Measure the alpha register in the orthonormal basis (basis0, basis0-perp).
+
+    Outcome 0 reports projection onto basis0.  Works on entangled and product
+    states alike; the photon factor collapses to the matching conditional state.
+    """
+    return ALPHA.sample(state, basis0, rng.random())
+
+
 def measure_pair_in_state(
     state: PairState, reference: PairState, rng: RandomStream
 ) -> tuple[int, PairState]:
@@ -313,14 +357,13 @@ def measure_pair_in_state(
     Outcome 0 means the state passed (projected onto the reference); outcome 1
     projects onto the orthogonal complement within the 4-dim joint space.
     """
-    if rng.random() < _joint_match(state, reference):
-        return 0, reference
-    residual = _joint_residual(state, reference)
-    if residual is None:
-        # probability of reaching this branch is < 1e-300; keep it safe anyway
-        return 0, reference
-    return 1, residual
+    return JOINT.sample(state, reference, rng.random())
 
+
+def measure_in_basis(state: QubitState, basis0: QubitState, rng: RandomStream) -> int:
+    """Two-outcome measurement of a lone qubit; 0 means it matched basis0."""
+    p0 = abs(overlap(basis0, state)) ** 2
+    return 0 if rng.random() < p0 else 1
 
 def schmidt_coefficients(state: PairState) -> tuple[float, float]:
     """Descending singular values (l1, l2) of the 2x2 amplitude matrix.

@@ -8,6 +8,7 @@ conditioned on claimed measured-but-undetected membership, so m independent
 fakes survive at the m-th power of those rates.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -190,10 +191,10 @@ def test_product_preparation_fails_joint_test_half_the_time():
     strategy = adv.WrongPreparationAlice("all-product")
     rng = np.random.default_rng(140)
     trials, survived = 4000, 0
-    for _ in range(trials):
-        state, theta, q = strategy.prepare(0, params, rng)
-        outcome, _ = measure_pair_in_state(state, prepare_pair(theta, q), rng)
-        survived += outcome == 0
+    for _ in range(trials // params.s):
+        for state, theta, q in zip(*strategy.prepare(params, rng)):
+            outcome, _ = measure_pair_in_state(state, prepare_pair(theta, q), rng)
+            survived += outcome == 0
     assert abs(survived / trials - 0.5) <= band(0.5, trials)
 
 
@@ -469,3 +470,43 @@ def test_frequency_cheat_infeasible_targets():
     rng = np.random.default_rng(181)
     with pytest.raises(StrategyError):
         execute_run(params, rng, bob=bob, code_provider=FAST_PROVIDER)
+
+
+# ---------------------------------------------------------------------------
+# runs that share one generator
+
+
+# sha256 of repr(result) + repr(final generator state), taken before the U3
+# checks were batched.  Each U3 sweep stops at its first failure; unless it
+# leaves the generator where a per-index loop would, every later run on the
+# same generator diverges, and these hashes move.
+PINNED_SHARED = {
+    "send-x": "113648780b99556088752ccb9f25dfd19732c7ce9d4ff03657a34f17f42ed8a4",
+    "send-best-guess": "e7e7c490fbc0238ccc0c1f19f71632fb3900c0ea4345b450a20b1d1bc84c8178",
+    "fake-unmeasured:2": "8d330dde5836c3ef2687d8fa299555d1e2a5a5956440b0f2b70e5da4a52e7f05",
+}
+
+
+def _pinned_sha(text, rng):
+    return hashlib.sha256((text + repr(rng.bit_generator.state)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy", adv.FAKE_POLICIES)
+def test_binding_runs_sharing_one_generator_are_pinned(policy):
+    rng = np.random.default_rng(424242)
+    report = adv.measure_binding(ProtocolParams(s=500, **STD_F), trials=100, rng=rng,
+                                 code_provider=block_repetition_provider(8, t=6),
+                                 fake_policy=policy)
+    assert _pinned_sha(repr(report), rng) == PINNED_SHARED[policy]
+
+
+def test_fake_unveil_runs_sharing_one_generator_are_pinned():
+    rng = np.random.default_rng(20261021)
+    params = ProtocolParams(s=60, s_prime=12, **STD_F)
+    alice = adv.FakeUnmeasuredAlice(2)
+    text = "".join(
+        repr(execute_run(params, rng, alice=alice, code_provider=FAST_PROVIDER,
+                         record_transcript=True))
+        for _ in range(40)
+    )
+    assert _pinned_sha(text, rng) == PINNED_SHARED["fake-unmeasured:2"]
