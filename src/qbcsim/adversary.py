@@ -319,8 +319,9 @@ def extract_commit_bit(run: RunState, rng: RandomStream) -> ExtractionResult:
         S ~ sum_{y in C-perp} prod_{j in y xor r} delta_j
 
     (Hartmann-Rudolph symbol-by-symbol MAP decoding).  Whichever of the
-    code and its dual is smaller is enumerated.  An exact tie w0 == w1 is
-    broken by a coin.
+    code and its dual is smaller is enumerated; the dual words come from the
+    code, which keeps the ones its distance certificate walked.  An exact
+    tie w0 == w1 is broken by a coin.
     """
     code = run.code
     if code is None or run.c_prime is None:

@@ -1,24 +1,30 @@
 """Binary linear (n,k,d) code toolkit for the codeword commitment layer.
 
 Bit strings are numpy uint8 arrays with entries in {0,1}.  Every generator
-matrix that leaves this module has had its minimum distance verified by a
-brute-force scan over all nonzero codewords, so `verified_min_distance` can be
-trusted downstream.  Brute force caps the dimension at k <= 24; above that the
-toolkit refuses rather than guessing.
+matrix that leaves this module has had its minimum distance certified by
+exhaustive enumeration of the smaller of the code C and its dual C-perp, so
+`verified_min_distance` can be trusted downstream.  The certificate caps the
+dimension at k <= 24; above that the toolkit refuses rather than guessing.
 
 Distance scans, enumeration and distance counts share one codebook walk:
 rows packed into ceil(n/64) uint64 words, spanned by XOR-doubling so that
 codeword i is the XOR of the rows j with bit j of i set, weighed by popcount.
 Past k = 16 the walk yields blocks of 2^16 codewords in the same order.
-`parity_check` gives the null space of a generator as n-k rows spanning the
-dual code C-perp, and `dual_codewords` enumerates C-perp with the same walk.
+`parity_check` gives the null space of a generator as n-k rows spanning
+C-perp, and `dual_codewords` enumerates C-perp with the same walk.
+
+When k > n-k the distance comes from C-perp's weight histogram B_j through
+the MacWilliams identity, 2^(n-k) A_w = sum_j B_j K_w(j) with the Krawtchouk
+polynomial K_w(j) = sum_i (-1)^i C(j,i) C(n-j,w-i), in exact integers: d is
+the first w >= 1 with A_w != 0.  The dual words walked there stay on the
+matrix for `dual_codewords`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -113,14 +119,90 @@ def _scan_min_weight(rows: np.ndarray, abort_below: int | None = None) -> int | 
     return best
 
 
+def _reduce(rows: np.ndarray) -> dict[int, int] | None:
+    """Gauss-Jordan elimination over rows packed into Python ints (bit j is column j).
+
+    Returns pivot column -> reduced row, one row per pivot and zero in every
+    other pivot column, or None when the rows are linearly dependent.
+    """
+    reduced: dict[int, int] = {}
+    for bits in np.packbits(rows, axis=1, bitorder="little"):
+        r = int.from_bytes(bits.tobytes(), "little")
+        for p, row in reduced.items():
+            if r >> p & 1:
+                r ^= row
+        if not r:
+            return None
+        p = (r & -r).bit_length() - 1
+        for q, row in reduced.items():
+            if row >> p & 1:
+                reduced[q] = row ^ r
+        reduced[p] = r
+    return reduced
+
+
+def _null_space(reduced: dict[int, int], n: int) -> np.ndarray:
+    """(n-k, n) rows spanning the null space of a reduced full-rank matrix.
+
+    Row i sets free column f_i and, on each pivot column p, the bit f_i of
+    p's reduced row.
+    """
+    free = [f for f in range(n) if f not in reduced]
+    H = np.zeros((len(free), n), dtype=np.uint8)
+    pivots = list(reduced)
+    for i, f in enumerate(free):
+        H[i, f] = 1
+        H[i, pivots] = [row >> f & 1 for row in reduced.values()]
+    return H
+
+
+def _walk_weights(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weight histogram of the span of rows, and its words unpacked if one block holds them."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for block in _codebook_blocks(rows):
+        hist += np.bincount(_weights(block), minlength=n + 1)
+    words = None
+    if len(rows) <= ENUMERATION_MAX_K:
+        words = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little")
+        words.setflags(write=False)
+    return hist, words
+
+
+def _macwilliams(dual_hist: np.ndarray, w: int) -> int:
+    """2^(n-k) A_w = sum_j B_j K_w(j) from the dual's weight histogram B_0..B_n."""
+    n = len(dual_hist) - 1
+    return sum(
+        int(b) * sum((-1) ** i * math.comb(j, i) * math.comb(n - j, w - i) for i in range(w + 1))
+        for j, b in enumerate(dual_hist)
+        if b
+    )
+
+
+def _dual_min_weight(
+    H: np.ndarray, n: int, abort_below: int | None = None
+) -> tuple[int | None, np.ndarray | None]:
+    """(d, dual words) of the code whose dual C-perp is spanned by H.
+
+    d is None when it falls below abort_below, as in _scan_min_weight.
+    """
+    hist, words = _walk_weights(H, n)
+    d = next(w for w in range(1, n + 1) if _macwilliams(hist, w))
+    return (None if abort_below is not None and d < abort_below else d), words
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Full-rank k x n generator matrix with a brute-force-certified distance."""
+    """Full-rank k x n generator matrix with a certified minimum distance.
+
+    The distance is certified by exhaustive enumeration of the smaller of the
+    code and its dual.  `_dual` holds the dual words once they are known.
+    """
 
     rows: np.ndarray
     n: int
     k: int
     verified_min_distance: int
+    _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows) -> "GeneratorMatrix":
@@ -132,15 +214,37 @@ class GeneratorMatrix:
             raise CodeError(f"need 1 <= k <= n, got k={k}, n={n}")
         if k > BRUTE_FORCE_MAX_K:
             raise UnsupportedScale(f"k={k} exceeds the brute-force cap {BRUTE_FORCE_MAX_K}")
-        if _gf2_rank(m) != k:
+        G = _certify(m.copy())
+        if G is None:
             raise CodeError("rows are linearly dependent over GF(2)")
-        d = _scan_min_weight(m)
-        m = m.copy()
-        m.setflags(write=False)
-        return cls(rows=m, n=n, k=k, verified_min_distance=int(d))
+        return G
 
     def row_strings(self) -> list[str]:
         return ["".join(str(int(b)) for b in row) for row in self.rows]
+
+
+def _certify(m: np.ndarray, abort_below: int | None = None) -> GeneratorMatrix | None:
+    """The code spanned by the rows of m, write-locking m; None when the rows
+    are dependent or the distance falls below abort_below.
+
+    One elimination gives the rank verdict and, when k > n-k, the
+    parity-check rows whose span is walked instead of the code.
+    """
+    k, n = m.shape
+    reduced = _reduce(m)
+    if reduced is None:
+        return None
+    dual = None
+    if k <= n - k:
+        d = _scan_min_weight(m, abort_below)
+    else:
+        d, dual = _dual_min_weight(_null_space(reduced, n), n, abort_below)
+    if d is None:
+        return None
+    m.setflags(write=False)
+    G = GeneratorMatrix(rows=m, n=n, k=k, verified_min_distance=d)
+    object.__setattr__(G, "_dual", dual)
+    return G
 
 
 def encode(G: GeneratorMatrix, message) -> np.ndarray:
@@ -161,36 +265,24 @@ def codewords(G: GeneratorMatrix) -> np.ndarray:
 
 
 def parity_check(G: GeneratorMatrix) -> np.ndarray:
-    """(n-k, n) parity-check matrix H: its rows span C-perp and G.H^T = 0.
-
-    Gauss-Jordan elimination over rows packed into Python ints (bit j is
-    column j) leaves one row per pivot column, zero in every other pivot
-    column.  Row i of H sets free column f_i and, on each pivot column p, the
-    bit f_i of p's reduced row.
-    """
-    reduced: dict[int, int] = {}  # pivot column -> reduced row
-    for bits in np.packbits(G.rows, axis=1, bitorder="little"):
-        r = int.from_bytes(bits.tobytes(), "little")
-        for p, row in reduced.items():
-            if r >> p & 1:
-                r ^= row
-        p = (r & -r).bit_length() - 1  # full rank, so r != 0
-        for q, row in reduced.items():
-            if row >> p & 1:
-                reduced[q] = row ^ r
-        reduced[p] = r
-    free = [f for f in range(G.n) if f not in reduced]
-    H = np.zeros((len(free), G.n), dtype=np.uint8)
-    pivots = list(reduced)
-    for i, f in enumerate(free):
-        H[i, f] = 1
-        H[i, pivots] = [row >> f & 1 for row in reduced.values()]
-    return H
+    """(n-k, n) parity-check matrix H: its rows span C-perp and G.H^T = 0."""
+    reduced = _reduce(G.rows)
+    if reduced is None:
+        raise CodeError("rows are linearly dependent over GF(2)")
+    return _null_space(reduced, G.n)
 
 
 def dual_codewords(G: GeneratorMatrix) -> np.ndarray:
-    """All 2^(n-k) words of the dual code as a (2^(n-k), n) array."""
-    return _enumerate(parity_check(G), G.n)
+    """All 2^(n-k) words of the dual code as a read-only (2^(n-k), n) array.
+
+    Computed once per code; generation already fills it when it certified
+    the distance on the dual side.
+    """
+    if G._dual is None:
+        words = _enumerate(parity_check(G), G.n)
+        words.setflags(write=False)
+        object.__setattr__(G, "_dual", words)
+    return G._dual
 
 
 def min_distance(G: GeneratorMatrix) -> int:
@@ -314,14 +406,9 @@ def generate_code(spec: CodeSpec, rng: RandomStream, max_attempts: int = 2000) -
         raise UnsupportedScale(f"k={spec.k} exceeds the brute-force cap {BRUTE_FORCE_MAX_K}")
     for _ in range(max_attempts):
         m = rng.integers(0, 2, size=(spec.k, spec.n), dtype=np.uint8)
-        if _gf2_rank(m) != spec.k:
-            continue
-        d = _scan_min_weight(m, abort_below=spec.d_target)
-        if d is None:
-            continue
-        # the scan above already certified d, so skip from_rows' second scan
-        m.setflags(write=False)
-        return GeneratorMatrix(rows=m, n=spec.n, k=spec.k, verified_min_distance=d)
+        G = _certify(m, abort_below=spec.d_target)
+        if G is not None:
+            return G
     raise GenerationFailure(
         f"no (n={spec.n}, k={spec.k}) matrix with d >= {spec.d_target} in {max_attempts} attempts"
     )
@@ -401,12 +488,17 @@ def code_to_json(G: GeneratorMatrix) -> str:
 
 def code_from_json(text: str) -> GeneratorMatrix:
     payload = json.loads(text)
-    rows = [as_bits(row, payload["n"]) for row in payload["rows"]]
-    if len(rows) != payload["k"]:
+    if not isinstance(payload, dict) or not all(key in payload for key in ("n", "k", "d", "rows")):
+        raise CodeError('a code is a JSON object with keys "n", "k", "d" and "rows"')
+    n, k, d, rows = payload["n"], payload["k"], payload["d"], payload["rows"]
+    if not all(type(v) is int for v in (n, k, d)) or not isinstance(rows, list):
+        raise CodeError('"n", "k" and "d" must be integers and "rows" a list')
+    rows = [as_bits(row, n) for row in rows]
+    if len(rows) != k:
         raise CodeError("row count does not match k")
     G = GeneratorMatrix.from_rows(np.array(rows, dtype=np.uint8))
-    if G.verified_min_distance != payload["d"]:
+    if G.verified_min_distance != d:
         raise CodeError(
-            f"recorded distance {payload['d']} but brute force found {G.verified_min_distance}"
+            f"recorded distance {d} but exhaustive enumeration certified {G.verified_min_distance}"
         )
     return G

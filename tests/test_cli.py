@@ -258,6 +258,23 @@ def test_code_check_bad_file(tmp_path, capsys):
     assert main(["code-check", str(path)]) == 1
 
 
+@pytest.mark.parametrize("payload", [
+    '{"k": 1, "d": 2, "rows": ["11"]}',
+    '{"n": 2, "k": 1, "rows": ["11"]}',
+    '{"n": 2, "k": 1, "d": 2}',
+    '[1, 2]',
+    '"11"',
+    '{"n": "2", "k": 1, "d": 2, "rows": ["11"]}',
+    '{"n": 2, "k": 1, "d": 2, "rows": "11"}',
+])
+def test_code_check_rejects_malformed_code_payloads(tmp_path, capsys, payload):
+    path = tmp_path / "code.json"
+    path.write_text(payload)
+    assert main(["code-check", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -36,7 +37,15 @@ from qbcsim.lincode import (
     sample_codeword_with_parity,
     sample_nondegenerate_mask,
 )
-from qbcsim.lincode import _gf2_rank, _scan_min_weight
+from qbcsim.acceptance import _SEEDED_CODES
+from qbcsim.lincode import (
+    _dual_min_weight,
+    _enumerate,
+    _gf2_rank,
+    _macwilliams,
+    _scan_min_weight,
+    _walk_weights,
+)
 
 HAMMING_7_4 = [
     [1, 0, 0, 0, 1, 1, 0],
@@ -403,3 +412,94 @@ def test_dual_codewords_of_hamming_code():
     # the dual of the [7,4,3] Hamming code is the [7,3,4] simplex code
     assert sorted(dual.sum(axis=1)) == [0] + [4] * 7
     assert not ((codewords(G).astype(np.int64) @ dual.T) & 1).any()
+
+
+def test_direct_construction_fills_the_dual_cache_on_first_use():
+    G = GeneratorMatrix(rows=np.array(HAMMING_7_4, dtype=np.uint8), n=7, k=4,
+                        verified_min_distance=3)
+    assert G._dual is None
+    dual = dual_codewords(G)
+    assert dual_codewords(G) is dual
+    assert not dual.flags.writeable
+    dependent = GeneratorMatrix(rows=np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8), n=3,
+                                k=2, verified_min_distance=2)
+    with pytest.raises(CodeError):
+        dual_codewords(dependent)
+
+
+def _spanning_matrix(k, free, zeros, repeats, seed):
+    """Full-rank k x n matrix: a full-rank k x (k + free) core plus zero
+    columns and copies of core columns, columns shuffled."""
+    rng = np.random.default_rng(seed)
+    core = rng.integers(0, 2, size=(k, k + free), dtype=np.uint8)
+    while _gf2_rank(core) != k:
+        core = rng.integers(0, 2, size=(k, k + free), dtype=np.uint8)
+    extra = core[:, rng.integers(0, k + free, size=repeats)]
+    m = np.hstack([core, np.zeros((k, zeros), dtype=np.uint8), extra])
+    return np.ascontiguousarray(m[:, rng.permutation(m.shape[1])])
+
+
+# n <= 24 and k <= 16 keep the dense reference small; n - k <= 14 keeps the
+# dual walk, repeated for every threshold, at 2^14 words
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    free=st.integers(0, 8),
+    zeros=st.integers(0, 3),
+    repeats=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=9, free=0, zeros=0, repeats=0, seed=3)  # k = n: C-perp is {0}
+@example(k=12, free=1, zeros=0, repeats=0, seed=4)  # k = n - 1
+@example(k=12, free=0, zeros=1, repeats=0, seed=5)  # k = n - 1 with a zero column
+@example(k=12, free=0, zeros=0, repeats=1, seed=6)  # k = n - 1 with a repeated column
+@example(k=16, free=4, zeros=2, repeats=2, seed=7)
+@example(k=1, free=8, zeros=3, repeats=2, seed=8)
+def test_dual_certificate_matches_the_primal_scan(k, free, zeros, repeats, seed):
+    n = k + free + zeros + repeats
+    assume(n <= 24 and n - k <= 14)
+    rows = _spanning_matrix(k, free, zeros, repeats, seed)
+    G = GeneratorMatrix.from_rows(rows)
+    H = parity_check(G)
+
+    # the whole weight distribution, from C-perp's histogram by MacWilliams
+    primal, _ = _walk_weights(rows, n)
+    dense = np.bincount(_dense_codebook(rows).sum(axis=1), minlength=n + 1)
+    assert np.array_equal(primal, dense)
+    dual, words = _walk_weights(H, n)
+    assert int(dual.sum()) == 1 << (n - k)
+    assert [_macwilliams(dual, w) for w in range(n + 1)] == [int(a) << (n - k) for a in dense]
+
+    for threshold in range(1, n + 2):
+        assert _dual_min_weight(H, n, threshold)[0] == _scan_min_weight(rows, threshold)
+    d = _scan_min_weight(rows)
+    assert G.verified_min_distance == d
+
+    # generation keeps the dual words it walked; a primal-side code has none yet
+    recomputed = _enumerate(parity_check(GeneratorMatrix(rows, n, k, d)), n)
+    assert np.array_equal(words, recomputed)
+    assert (G._dual is not None) == (k > n - k)
+    assert np.array_equal(dual_codewords(G), recomputed)
+
+
+# sha256 of 300 codes that ratio_code_provider(0.8, 0.05) draws at n = 17..20
+# from one generator, that generator's final state, and criterion 8's four
+# seeded codes.  Taken while every distance was still scanned on the primal
+# side: a certificate that accepts or rejects another candidate, or draws
+# differently, moves it.
+PINNED_CODE_DRAWS = "eaec2904af294ce6435ff81bd203a9480fc4d2fc70d470646c91f0d0a4d07173"
+
+
+def test_code_draws_are_pinned():
+    def line(G):
+        return f"{G.n} {G.k} {G.verified_min_distance} {' '.join(G.row_strings())}"
+
+    rng = np.random.default_rng(20261022)
+    provide = ratio_code_provider(0.8, 0.05)
+    lines = [line(provide(17 + i % 4, rng)) for i in range(300)]
+    lines.append(repr(rng.bit_generator.state))
+    for n, k, d_target, seed in _SEEDED_CODES:
+        spec = CodeSpec(n=n, k=k, d_target=d_target)
+        lines.append(line(generate_code(spec, np.random.default_rng(seed))))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CODE_DRAWS
